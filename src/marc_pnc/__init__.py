@@ -21,6 +21,7 @@ from .destination import (
     DecodeOutput,
     EvalCounter,
     HrOrthogonalityError,
+    decode_frame,
     fast_decode,
     metric_m1,
     metric_m2,
@@ -42,8 +43,8 @@ from .montecarlo import (
     run_sweep,
 )
 from .netmap import LatinSquare, apply_map, check_exclusive_law, modulo_latin, xor_latin
-from .numerics import CMatrix, RngStream, cmat_mul, conj_transpose, det2, qr_2x3, sample_gaussian
-from .relay import RelayDecision, relay_decide, relay_forward, relay_ml_decode
+from .numerics import RngStream, qr_2x3
+from .relay import relay_forward, relay_ml_decode
 from .scheme import (
     SchemeConstants,
     WeightMatrices,
@@ -54,7 +55,7 @@ from .scheme import (
     restricted_diff_matrix,
     weight_matrices,
 )
-from .signalset import SignalSet, difference_set, make_psk, map_bits
+from .signalset import SignalSet, difference_set, make_psk
 from .sweepio import emit_csv, emit_plot_script, parse_config, parse_csv, spec_from_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

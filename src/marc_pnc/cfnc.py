@@ -8,8 +8,8 @@ hypothesised pair.
 
 Reconstruction choices (recorded in sweep metadata):
 
-* theta defaults to exp(i*pi/4), validated at startup to keep all M^2
-  combined points distinct;
+* theta defaults to exp(i*pi/4), validated when a sweep spec is built to
+  keep all M^2 combined points distinct;
 * the sources transmit in both phases with the same (a, b, c, d) split as
   the network-coded scheme, so frame structure and energies match exactly
   and the comparison isolates the relay-map difference;
@@ -24,8 +24,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelRealization
-from .destination import Branch, DecodeOutput
+from .channel import ChannelRealization, phase1, phase2
+from .destination import DecodeInput, DecodeOutput, decode_frame, joint_min_distance
 from .relay import relay_ml_decode
 from .scheme import SchemeConstants
 from .signalset import SignalSet
@@ -70,42 +70,16 @@ def relay_combined_symbol(cfg: CfncConfig, s: SignalSet, ia: int, ib: int) -> co
     return cfg.power_norm * (s.points[ia] + cfg.theta * s.points[ib])
 
 
-def cfnc_destination_decode(
-    y_d1: complex,
-    y_d2: complex,
-    h: ChannelRealization,
-    k: SchemeConstants,
-    s: SignalSet,
-    cfg: CfncConfig,
-) -> DecodeOutput:
-    """Joint two-phase minimum-distance decoding over all M^2 pairs.
+def cfnc_destination_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cfg: CfncConfig, counter=None):
+    """Joint two-phase minimum-distance decoding of a batch of frames.
 
     Each hypothesis assumes the relay combined exactly that pair.  Ties
-    resolve to the smallest (index_a, index_b); the branch field is always
-    the trust-the-relay hypothesis since the baseline has no other.
+    resolve to the smallest (index_a, index_b); the branch is always the
+    trust-the-relay hypothesis since the baseline has no other.
     """
-    root_es = math.sqrt(k.es)
-    a1 = [h.h_ad * root_es * k.a * p for p in s.points]
-    b1 = [h.h_bd * root_es * k.b * p for p in s.points]
-    a2 = [h.h_ad * root_es * k.c * p for p in s.points]
-    b2 = [h.h_bd * root_es * k.d * p for p in s.points]
-    gr = h.h_rd * root_es * cfg.power_norm
-    ra = [gr * p for p in s.points]
-    rb = [gr * cfg.theta * p for p in s.points]
-
-    best = math.inf
-    out = (0, 0)
-    for ia in range(s.m):
-        c1 = y_d1 - a1[ia]
-        c2 = y_d2 - a2[ia] - ra[ia]
-        for ib in range(s.m):
-            z1 = c1 - b1[ib]
-            z2 = c2 - b2[ib] - rb[ib]
-            v = z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
-            if v < best:
-                best = v
-                out = (ia, ib)
-    return DecodeOutput(xa_idx=out[0], xb_idx=out[1], branch=Branch.RELAY_CORRECT)
+    return joint_min_distance(
+        y1, y2, h_ad, h_bd, h_rd, k, pts, lambda ia, ib: cfg.power_norm * (pts[ia] + cfg.theta * pts[ib]), counter
+    )
 
 
 def cfnc_run_frame(
@@ -121,12 +95,11 @@ def cfnc_run_frame(
 ) -> tuple[DecodeOutput, tuple[int, int]]:
     """One baseline frame: phase 1, relay detection and combining, phase 2,
     joint destination decoding.  Returns the decision and the relay's pair."""
-    root_es = math.sqrt(k.es)
     xa = s.points[xa_idx]
     xb = s.points[xb_idx]
-    y_r = h.h_ar * root_es * k.a * xa + h.h_br * root_es * k.b * xb + z_r
-    y_d1 = h.h_ad * root_es * k.a * xa + h.h_bd * root_es * k.b * xb + z_d1
+    y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
     relay_pair = relay_ml_decode(y_r, h, k, s)
     x_r = relay_combined_symbol(cfg, s, relay_pair[0], relay_pair[1])
-    y_d2 = h.h_ad * root_es * k.c * xa + h.h_bd * root_es * k.d * xb + h.h_rd * root_es * x_r + z_d2
-    return cfnc_destination_decode(y_d1, y_d2, h, k, s, cfg), relay_pair
+    y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
+    inp = DecodeInput(y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=s)
+    return decode_frame(cfnc_destination_decode, inp, relay=cfg), relay_pair

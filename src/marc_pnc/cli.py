@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .channel import PROFILE_PRESETS
-from .diversity import estimate_diversity, probability_window
+from .diversity import InsufficientDataError, estimate_diversity, probability_window
 from .montecarlo import DECODERS, MAP_KINDS, SepCurve, SweepSpec, equivalence_battery, run_sweep
 from .netmap import check_exclusive_law, modulo_latin, xor_latin
 from .scheme import (
@@ -32,7 +32,7 @@ from .scheme import (
     weight_matrices,
 )
 from .signalset import make_psk
-from .sweepio import emit_csv, emit_plot_script, parse_config, spec_from_config
+from .sweepio import CONFIG_KEYS, emit_csv, emit_plot_script, parse_config, spec_from_config
 
 #: Scenario presets: fading profile plus the nominal high-SNR gain (dB) of
 #: the network-coded scheme over the combining baseline, used purely as a
@@ -68,29 +68,11 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     values: dict[str, str] = {}
     if args.config is not None:
         values.update(parse_config(args.config.read_text()))
-    overrides = {
-        "snr_db": args.snr_db,
-        "trials": args.trials,
-        "error_target": args.error_target,
-        "seed": args.seed,
-        "m": args.m,
-        "map": args.map,
-        "decoder": args.decoder,
-        "profile": args.profile,
-        "var_ar_db": args.var_ar_db,
-        "var_br_db": args.var_br_db,
-        "var_ad_db": args.var_ad_db,
-        "var_bd_db": args.var_bd_db,
-        "var_rd_db": args.var_rd_db,
-        "a_re": args.a_re, "a_im": args.a_im,
-        "b_re": args.b_re, "b_im": args.b_im,
-        "c_re": args.c_re, "c_im": args.c_im,
-        "d_re": args.d_re, "d_im": args.d_im,
-        "theta_re": args.theta_re, "theta_im": args.theta_im,
-    }
-    for k, v in overrides.items():
+    # Every config key is also the dest of the flag that overrides it.
+    for key in CONFIG_KEYS:
+        v = getattr(args, key)
         if v is not None:
-            values[k] = str(v)
+            values[key] = str(v)
     return spec_from_config(values)
 
 
@@ -230,7 +212,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     try:
         fit = estimate_diversity(curves["fast"], "sep_joint", probability_window(curves["fast"], "sep_joint", (1e-7, 1e-2)))
         print(f"fitted diversity order (network-coded scheme): {fit.slope:.2f} over {fit.fit_window_db} dB")
-    except Exception as exc:  # too few points on quick grids
+    except InsufficientDataError as exc:  # too few points on quick grids
         print(f"diversity fit skipped: {exc}")
     return 0
 

@@ -8,11 +8,18 @@ Three decoders share the same frame inputs:
 * ``novel_decode_exhaustive`` -- relay-error-aware rule: per candidate pair
   it takes the smaller of the trust-the-relay metric m1 and the
   relay-error metric m2 penalised by log(es), searching all relay symbols
-  directly (O(M^3) work).  This is the reference implementation.
+  directly (O(M^3) work).
 * ``fast_decode`` -- the same rule in O(M^2) via a QR decomposition of the
   2x3 equivalent channel.  Valid when the A (or B) weight matrix is
   Hurwitz-Radon orthogonal to the relay's, which forces the rotated
   channel entry r13 to vanish and decouples the x_A and x_R searches.
+
+Each decoder has one implementation, which works on a batch of frames
+(arrays with one entry per frame); ``decode_frame`` runs any of them on a
+single ``DecodeInput``.  The scalar ``novel_decode_exhaustive`` and the
+metric functions are kept as the independent reference that the batch
+decoders are tested against; ``novel_decode_exhaustive_batch`` is the
+exhaustive rule as sweeps run it.
 
 log(es) is the natural logarithm: the metrics are Gaussian
 log-likelihoods, so base e is the only consistent reading.  Both aware
@@ -37,10 +44,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .netmap import LatinSquare
-from .numerics import CMatrix, qr_2x3
+from .numerics import qr_2x3, sqmag
 from .scheme import SchemeConstants, check_hr_orthogonal, weight_matrices
 from .signalset import SignalSet
 
@@ -64,7 +73,8 @@ class EvalCounter:
 
 @dataclass(frozen=True)
 class DecodeInput:
-    """Everything the destination sees for one frame."""
+    """Everything the destination sees for one frame.  The cfnc baseline's
+    relay combines instead of mapping, so its frames carry no relay map."""
 
     y_d1: complex
     y_d2: complex
@@ -73,10 +83,10 @@ class DecodeInput:
     h_rd: complex
     constants: SchemeConstants
     signal_set: SignalSet
-    relay_map: LatinSquare
+    relay_map: LatinSquare | None = None
 
     def __post_init__(self) -> None:
-        if self.relay_map.order != self.signal_set.m:
+        if self.relay_map is not None and self.relay_map.order != self.signal_set.m:
             raise ValueError("relay map order and constellation size differ")
 
 
@@ -91,9 +101,9 @@ class HrOrthogonalityError(ValueError):
     """Raised when neither weight-matrix pairing admits the fast algorithm."""
 
 
-def _require_unit_snr(inp: DecodeInput) -> None:
-    if inp.constants.es < 1.0:
-        raise ValueError(f"relay-error-aware decoding requires es >= 1 (got {inp.constants.es})")
+def _require_unit_snr(k: SchemeConstants) -> None:
+    if k.es < 1.0:
+        raise ValueError(f"relay-error-aware decoding requires es >= 1 (got {k.es})")
 
 
 def _phase_terms(inp: DecodeInput):
@@ -160,34 +170,12 @@ def metric_m3(inp: DecodeInput, xa: complex, xb: complex) -> float:
 def metric_m4(inp: DecodeInput, xa: complex, xb: complex, xr: complex) -> float:
     """Two-phase residual with an explicit relay symbol, plus the log(es)
     relay-error penalty.  xa, xb, xr may be arbitrary complex values."""
-    _require_unit_snr(inp)
+    _require_unit_snr(inp.constants)
     k = inp.constants
     root_es = math.sqrt(k.es)
     res1 = inp.y_d1 - inp.h_ad * root_es * k.a * xa - inp.h_bd * root_es * k.b * xb
     res2 = inp.y_d2 - inp.h_ad * root_es * k.c * xa - inp.h_bd * root_es * k.d * xb - inp.h_rd * root_es * xr
     return _sq(res1) + _sq(res2) + math.log(k.es)
-
-
-def min_euclidean_decode(inp: DecodeInput, counter: EvalCounter | None = None) -> DecodeOutput:
-    """Joint minimum-distance decoding that assumes the relay was right.
-
-    Pair ties resolve to the smallest (index_a, index_b) lexicographically.
-    """
-    a1, b1, a2, b2, r2 = _phase_terms(inp)
-    cells = inp.relay_map.cells
-    m = inp.signal_set.m
-    best = math.inf
-    out = (0, 0)
-    for ia in range(m):
-        base1 = inp.y_d1 - a1[ia]
-        for ib in range(m):
-            v = _sq(base1 - b1[ib]) + _sq(inp.y_d2 - a2[ia] - b2[ib] - r2[cells[ia][ib]])
-            if v < best:
-                best = v
-                out = (ia, ib)
-    if counter is not None:
-        counter.add(m * m)
-    return DecodeOutput(xa_idx=out[0], xb_idx=out[1], branch=Branch.RELAY_CORRECT)
 
 
 def novel_decode_exhaustive(inp: DecodeInput, counter: EvalCounter | None = None) -> DecodeOutput:
@@ -198,7 +186,7 @@ def novel_decode_exhaustive(inp: DecodeInput, counter: EvalCounter | None = None
     the best penalised any-relay-symbol metric, exactly as the fast
     algorithm does, so the two implementations are interchangeable.
     """
-    _require_unit_snr(inp)
+    _require_unit_snr(inp.constants)
     ln_es = math.log(inp.constants.es)
     a1, b1, a2, b2, r2 = _phase_terms(inp)
     cells = inp.relay_map.cells
@@ -250,7 +238,7 @@ def novel_decode_exhaustive(inp: DecodeInput, counter: EvalCounter | None = None
 
 def phi_metrics(
     inp: DecodeInput,
-    r: CMatrix,
+    r: np.ndarray,
     ytilde: tuple[complex, complex],
     xa: complex,
     xb: complex,
@@ -258,11 +246,11 @@ def phi_metrics(
 ) -> tuple[float, float, float]:
     """The three rotated-coordinate metrics used by the fast algorithm.
 
-    ``r`` must come from ``qr_2x3`` of this frame's equivalent channel and
-    ``ytilde`` from rotating the received pair by the matching q*.  The
-    second metric needs the network-coded point for (xa, xb); for values
-    outside the constellation (no defined relay hypothesis) that term is
-    taken as 0.
+    ``r`` is the 2x3 upper-triangular factor from ``qr_2x3`` of this
+    frame's equivalent channel and ``ytilde`` the received pair rotated by
+    the matching q*.  The second metric needs the network-coded point for
+    (xa, xb); for values outside the constellation (no defined relay
+    hypothesis) that term is taken as 0.
     """
     root_es = math.sqrt(inp.constants.es)
     try:
@@ -271,122 +259,202 @@ def phi_metrics(
         fpoint = inp.signal_set.points[inp.relay_map.cells[ia][ib]]
     except ValueError:
         fpoint = 0.0j
-    phi1 = _sq(ytilde[0] - r.at(0, 1) * xb * root_es - r.at(0, 0) * xa * root_es)
-    phi2 = _sq(ytilde[1] - r.at(1, 1) * xb * root_es - r.at(1, 2) * fpoint * root_es)
-    phi3 = _sq(ytilde[1] - r.at(1, 1) * xb * root_es - r.at(1, 2) * xr * root_es)
+    phi1 = _sq(ytilde[0] - r[0, 1] * xb * root_es - r[0, 0] * xa * root_es)
+    phi2 = _sq(ytilde[1] - r[1, 1] * xb * root_es - r[1, 2] * fpoint * root_es)
+    phi3 = _sq(ytilde[1] - r[1, 1] * xb * root_es - r[1, 2] * xr * root_es)
     return phi1, phi2, phi3
 
 
-def equivalent_channel(inp: DecodeInput) -> CMatrix:
-    """2x3 matrix taking (x_A, x_B, x_R) * sqrt(es) to the noiseless pair."""
-    k = inp.constants
-    return CMatrix.from_rows(
-        [
-            [k.a * inp.h_ad, k.b * inp.h_bd, 0.0j],
-            [k.c * inp.h_ad, k.d * inp.h_bd, inp.h_rd],
-        ]
+# ---------------------------------------------------------------------------
+# Batch decoders.  Arguments are arrays with one entry per frame, then the
+# constants, the constellation points and the relay-map cells; each decoder
+# returns (index_a, index_b, relay_correct_branch) arrays.
+
+
+def role_swap(k: SchemeConstants) -> bool:
+    """Which Hurwitz-Radon pairing the fast decoder uses: False when the A
+    and relay weight matrices are orthogonal, True when only the B and relay
+    pair is (the algorithm then runs with the source roles swapped).
+
+    Raises ``HrOrthogonalityError`` when neither pairing holds: the O(M^2)
+    algorithm does not apply, and ``novel_decode_exhaustive`` must be used.
+    """
+    wm = weight_matrices(k)
+    if check_hr_orthogonal(wm.wa, wm.wr):
+        return False
+    if check_hr_orthogonal(wm.wb, wm.wr):
+        return True
+    raise HrOrthogonalityError(
+        "neither weight-matrix pairing is Hurwitz-Radon orthogonal; "
+        "the O(M^2) algorithm does not apply -- use the novel-exhaustive decoder"
     )
 
 
-def fast_decode(inp: DecodeInput, counter: EvalCounter | None = None) -> DecodeOutput:
+def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counter: EvalCounter | None = None):
     """O(M^2) implementation of the relay-error-aware decoder.
 
-    Requires the A/relay weight matrices to be Hurwitz-Radon orthogonal;
-    if only the B/relay pair is, the algorithm runs with the source roles
-    swapped.  If neither is, raises ``HrOrthogonalityError`` rather than
-    silently falling back -- use ``novel_decode_exhaustive`` then.
+    The 'first' user occupies the resolved (upper-triangular) coordinate of
+    the QR; ``role_swap`` decides whether that is A or B.
     """
-    _require_unit_snr(inp)
-    wm = weight_matrices(inp.constants)
-    if check_hr_orthogonal(wm.wa, wm.wr):
-        swap = False
-    elif check_hr_orthogonal(wm.wb, wm.wr):
-        swap = True
-    else:
-        raise HrOrthogonalityError(
-            "neither weight-matrix pairing is Hurwitz-Radon orthogonal; "
-            "the O(M^2) algorithm does not apply -- use novel_decode_exhaustive"
-        )
-
-    k = inp.constants
+    _require_unit_snr(k)
+    swap = role_swap(k)
     if swap:
-        first = (k.b * inp.h_bd, k.d * inp.h_bd)
-        second = (k.a * inp.h_ad, k.c * inp.h_ad)
-        cells = inp.relay_map.transposed().cells
+        h11, h21 = k.b * h_bd, k.d * h_bd
+        h12, h22 = k.a * h_ad, k.c * h_ad
+        cells = cells.T
     else:
-        first = (k.a * inp.h_ad, k.c * inp.h_ad)
-        second = (k.b * inp.h_bd, k.d * inp.h_bd)
-        cells = inp.relay_map.cells
+        h11, h21 = k.a * h_ad, k.c * h_ad
+        h12, h22 = k.b * h_bd, k.d * h_bd
+    qr = qr_2x3(h11, h21, h12, h22, h_rd, y1, y2)
 
-    i_first, i_second, branch = _fast_core(
-        inp.y_d1, inp.y_d2, first, second, inp.h_rd, k.es, inp.signal_set.points, cells, counter
-    )
-    if swap:
-        return DecodeOutput(xa_idx=i_second, xb_idx=i_first, branch=branch)
-    return DecodeOutput(xa_idx=i_first, xb_idx=i_second, branch=branch)
+    root = math.sqrt(k.es)
+    ln_es = math.log(k.es)
+    m = len(pts)
+    n = len(y1)
+    t11 = (qr.r11 * root)[:, None] * pts[None, :]
+    t23 = (qr.r23 * root)[:, None] * pts[None, :]
 
-
-def _fast_core(
-    y1: complex,
-    y2: complex,
-    first: tuple[complex, complex],
-    second: tuple[complex, complex],
-    h_rd: complex,
-    es: float,
-    points,
-    cells,
-    counter: EvalCounter | None,
-) -> tuple[int, int, Branch]:
-    """Shared loop of the fast algorithm, with the 'first' user occupying
-    the resolved (upper-triangular) coordinate.  Returns first/second user
-    indices plus the winning branch."""
-    h = CMatrix.from_rows([[first[0], second[0], 0.0j], [first[1], second[1], h_rd]])
-    q, r = qr_2x3(h)
-    yt1 = q.at(0, 0).conjugate() * y1 + q.at(1, 0).conjugate() * y2
-    yt2 = q.at(0, 1).conjugate() * y1 + q.at(1, 1).conjugate() * y2
-
-    root_es = math.sqrt(es)
-    t11 = [r.at(0, 0) * root_es * p for p in points]
-    t12 = [r.at(0, 1) * root_es * p for p in points]
-    t22 = [r.at(1, 1) * root_es * p for p in points]
-    t23 = [r.at(1, 2) * root_es * p for p in points]
-    ln_es = math.log(es)
-    m = len(points)
-
-    best_m = math.inf
-    best = (0, 0, Branch.RELAY_ERROR)
+    best_m = np.full(n, np.inf)
+    best_first = np.zeros(n, dtype=np.int64)
+    best_second = np.zeros(n, dtype=np.int64)
+    best_correct = np.zeros(n, dtype=bool)
     for jb in range(m):
-        c1 = yt1 - t12[jb]
-        c2 = yt2 - t22[jb]
-        phi1 = [_sq(c1 - t) for t in t11]
-        phi3 = [_sq(c2 - t) for t in t23]
+        c1 = qr.yt1 - qr.r12 * (root * pts[jb])
+        c2 = qr.yt2 - qr.r22 * (root * pts[jb])
+        phi1 = sqmag(c1[:, None] - t11)
+        phi3 = sqmag(c2[:, None] - t23)
+        min1 = phi1.min(axis=1)
+        a2 = phi1.argmin(axis=1)
+        min3 = phi3.min(axis=1)
+        comb = phi1 + phi3[:, cells[:, jb]]
+        b1 = comb.min(axis=1)
+        a1 = comb.argmin(axis=1)
+        b2_pen = min1 + min3 + ln_es
 
-        min1 = math.inf
-        a2 = 0
-        for i, v in enumerate(phi1):
-            if v < min1:
-                min1 = v
-                a2 = i
-        min3 = math.inf
-        for v in phi3:
-            if v < min3:
-                min3 = v
-        b1 = math.inf
-        a1 = 0
-        for i in range(m):
-            v = phi1[i] + phi3[cells[i][jb]]
-            if v < b1:
-                b1 = v
-                a1 = i
-        b2 = min1 + min3
-
-        if b1 < b2 + ln_es:
-            mj, ai, br = b1, a1, Branch.RELAY_CORRECT
-        else:
-            mj, ai, br = b2 + ln_es, a2, Branch.RELAY_ERROR
-        if mj < best_m:
-            best_m = mj
-            best = (ai, jb, br)
+        correct = b1 < b2_pen
+        mj = np.where(correct, b1, b2_pen)
+        aj = np.where(correct, a1, a2)
+        upd = mj < best_m
+        best_m = np.where(upd, mj, best_m)
+        best_first = np.where(upd, aj, best_first)
+        best_second = np.where(upd, jb, best_second)
+        best_correct = np.where(upd, correct, best_correct)
     if counter is not None:
-        counter.add(2 * m * m)
-    return best
+        counter.add(2 * m * m * n)
+    if swap:
+        return best_second, best_first, best_correct
+    return best_first, best_second, best_correct
+
+
+def _source_terms(h_ad, h_bd, k: SchemeConstants, pts):
+    """Per-frame, per-symbol source terms of both phases: (n, M) arrays."""
+    root = math.sqrt(k.es)
+    return (
+        (h_ad * (root * k.a))[:, None] * pts[None, :],
+        (h_bd * (root * k.b))[:, None] * pts[None, :],
+        (h_ad * (root * k.c))[:, None] * pts[None, :],
+        (h_bd * (root * k.d))[:, None] * pts[None, :],
+    )
+
+
+def novel_decode_exhaustive_batch(
+    y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counter: EvalCounter | None = None
+):
+    """``novel_decode_exhaustive`` on a batch of frames (O(M^3) work)."""
+    _require_unit_snr(k)
+    ln_es = math.log(k.es)
+    m = len(pts)
+    n = len(y1)
+    a1t, b1t, a2t, b2t = _source_terms(h_ad, h_bd, k, pts)
+    r2t = (h_rd * math.sqrt(k.es))[:, None] * pts[None, :]
+
+    best1 = np.full((n, m), np.inf)
+    arg1 = np.zeros((n, m), dtype=np.int64)
+    best3 = np.full((n, m), np.inf)
+    arg3 = np.zeros((n, m), dtype=np.int64)
+    for ia in range(m):
+        for ib in range(m):
+            p1 = sqmag(y1 - a1t[:, ia] - b1t[:, ib])
+            base2 = y2 - a2t[:, ia] - b2t[:, ib]
+            p2 = sqmag(base2[:, None] - r2t)
+            fidx = cells[ia, ib]
+            m1 = p1 + p2[:, fidx]
+            p2_other = p2.copy()
+            p2_other[:, fidx] = np.inf
+            m2 = p1 + p2_other.min(axis=1)
+            m3 = np.minimum(m1, m2)
+            upd1 = m1 < best1[:, ib]
+            best1[:, ib] = np.where(upd1, m1, best1[:, ib])
+            arg1[:, ib] = np.where(upd1, ia, arg1[:, ib])
+            upd3 = m3 < best3[:, ib]
+            best3[:, ib] = np.where(upd3, m3, best3[:, ib])
+            arg3[:, ib] = np.where(upd3, ia, arg3[:, ib])
+    if counter is not None:
+        counter.add(m * m * m * n)
+
+    best_m = np.full(n, np.inf)
+    best_a = np.zeros(n, dtype=np.int64)
+    best_b = np.zeros(n, dtype=np.int64)
+    best_correct = np.zeros(n, dtype=bool)
+    for ib in range(m):
+        pen = best3[:, ib] + ln_es
+        correct = best1[:, ib] < pen
+        mj = np.where(correct, best1[:, ib], pen)
+        aj = np.where(correct, arg1[:, ib], arg3[:, ib])
+        upd = mj < best_m
+        best_m = np.where(upd, mj, best_m)
+        best_a = np.where(upd, aj, best_a)
+        best_b = np.where(upd, ib, best_b)
+        best_correct = np.where(upd, correct, best_correct)
+    return best_a, best_b, best_correct
+
+
+def joint_min_distance(
+    y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, relay_point, counter: EvalCounter | None = None
+):
+    """Joint two-phase minimum-distance search over all M^2 pairs, each
+    hypothesis assuming the relay sent ``relay_point(index_a, index_b)``.
+
+    Pair ties resolve to the smallest (index_a, index_b) lexicographically;
+    every frame reports the trust-the-relay branch.
+    """
+    m = len(pts)
+    n = len(y1)
+    a1t, b1t, a2t, b2t = _source_terms(h_ad, h_bd, k, pts)
+    gr = h_rd * math.sqrt(k.es)
+
+    best = np.full(n, np.inf)
+    best_a = np.zeros(n, dtype=np.int64)
+    best_b = np.zeros(n, dtype=np.int64)
+    for ia in range(m):
+        for ib in range(m):
+            v = sqmag(y1 - a1t[:, ia] - b1t[:, ib]) + sqmag(y2 - a2t[:, ia] - b2t[:, ib] - gr * relay_point(ia, ib))
+            upd = v < best
+            best = np.where(upd, v, best)
+            best_a = np.where(upd, ia, best_a)
+            best_b = np.where(upd, ib, best_b)
+    if counter is not None:
+        counter.add(m * m * n)
+    return best_a, best_b, np.ones(n, dtype=bool)
+
+
+def min_euclidean_decode(
+    y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counter: EvalCounter | None = None
+):
+    """Joint minimum-distance decoding that assumes the relay forwarded the
+    network-coded symbol of each hypothesised pair."""
+    return joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k, pts, lambda ia, ib: pts[cells[ia, ib]], counter)
+
+
+def decode_frame(decoder, inp: DecodeInput, relay=None, counter: EvalCounter | None = None) -> DecodeOutput:
+    """Run a batch decoder on one frame, as a batch of one.
+
+    ``relay`` is the decoder's relay argument; it defaults to the frame's
+    relay-map cells (the cfnc baseline passes its ``CfncConfig``).
+    """
+    if relay is None:
+        relay = np.asarray(inp.relay_map.cells, dtype=np.int64)
+    one = (np.array([z], dtype=np.complex128) for z in (inp.y_d1, inp.y_d2, inp.h_ad, inp.h_bd, inp.h_rd))
+    pts = np.asarray(inp.signal_set.points, dtype=np.complex128)
+    a, b, correct = decoder(*one, inp.constants, pts, relay, counter)
+    return DecodeOutput(int(a[0]), int(b[0]), Branch.RELAY_CORRECT if correct[0] else Branch.RELAY_ERROR)

@@ -1,17 +1,16 @@
 """Monte Carlo engine: frame simulation, SNR sweeps, error statistics.
 
-Two execution paths cover the same protocol:
+``run_sweep`` partitions trials into fixed-size batches; batch b of SNR
+point p draws from a counter-based stream keyed by (seed, p, b), and
+per-batch results are integer counters summed in batch order.  Results are
+therefore byte-identical for a given spec and seed no matter how many
+worker threads run the batches, and a point stops early (only at round
+boundaries) once enough errors have accumulated.
 
-* ``run_frame`` -- one frame through the scalar reference functions
-  (relay, destination or baseline decoders).  Used by tests and for
-  auditing the engine.
-* ``run_sweep`` -- the batched numpy path.  Trials are partitioned into
-  fixed-size batches; batch b of SNR point p draws from a counter-based
-  stream keyed by (seed, p, b), and per-batch results are integer counters
-  summed in batch order.  Results are therefore byte-identical for a given
-  spec and seed no matter how many worker threads run the batches, and a
-  point stops early (only at round boundaries) once enough errors have
-  accumulated.
+``run_frame`` sends one frame through the same destination decoders (as a
+batch of one) after the scalar reference relay; tests use it to audit the
+engine.  ``equivalence_battery`` holds the fast decoder against the scalar
+exhaustive reference.
 
 The symbol error probability reported as ``sep_joint`` is the joint pair
 error P{decoded pair != transmitted pair}; per-user rates are recorded
@@ -21,6 +20,7 @@ conditioned on it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfnc import DEFAULT_THETA, CfncConfig, cfnc_run_frame, make_cfnc_config
+from .cfnc import DEFAULT_THETA, CfncConfig, cfnc_destination_decode, cfnc_run_frame, make_cfnc_config
 from .channel import (
     PROFILE_PRESETS,
     ChannelRealization,
@@ -40,17 +40,24 @@ from .channel import (
     sample_channel,
 )
 from .destination import (
+    Branch,
     DecodeInput,
     DecodeOutput,
-    HrOrthogonalityError,
+    decode_frame,
     fast_decode,
     min_euclidean_decode,
     novel_decode_exhaustive,
+    novel_decode_exhaustive_batch,
+    role_swap,
 )
 from .netmap import LatinSquare, modulo_latin, xor_latin
 from .numerics import RngStream, complex_gaussian, philox_bits
-from .relay import relay_forward, relay_ml_decode
-from .scheme import SchemeConstants, check_hr_orthogonal, weight_matrices
+from .relay import relay_forward, relay_ml_decode, relay_ml_decode_batch
+from .scheme import EXAMPLE1_ABCD, SchemeConstants, example1_constants
+
+# Not called here: kept as module attributes because the benchmark's trace
+# wraps them at this module.
+from .scheme import check_hr_orthogonal, weight_matrices  # noqa: F401
 from .signalset import SignalSet, make_psk
 
 MAP_KINDS = ("modulo", "xor")
@@ -64,11 +71,6 @@ ROUND_WIDTH = 4
 THREADS_ENV_VAR = "MARC_PNC_THREADS"
 
 
-def _example1_abcd() -> tuple[complex, complex, complex, complex]:
-    inv = 1.0 / math.sqrt(2.0)
-    return (1.0 + 0.0j, inv + 0.0j, 0.0j, inv + 0.0j)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Everything needed to reproduce a sweep, including the seed."""
@@ -79,12 +81,15 @@ class SweepSpec:
     m: int = 4
     map_kind: str = "modulo"
     decoder: str = "fast"
-    constants: tuple[complex, complex, complex, complex] = dataclasses.field(default_factory=_example1_abcd)
+    constants: tuple[complex, complex, complex, complex] = EXAMPLE1_ABCD
     seed: int = 0
     theta: complex = DEFAULT_THETA
     error_target: int = 10_000
 
     def __post_init__(self) -> None:
+        """Reject every spec that would fail inside a worker batch."""
+        if self.m < 2 or self.m & (self.m - 1):
+            raise ValueError(f"m must be a power of two >= 2, got {self.m}")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.error_target < 1:
@@ -101,7 +106,11 @@ class SweepSpec:
         if self.decoder in ("novel-exhaustive", "fast") and pts[0] < 0.0:
             raise ValueError("relay-error-aware decoders require all SNR points >= 0 dB")
         # Constant validity (energy split) is checked by building once.
-        self.constants_at(pts[0])
+        k = self.constants_at(pts[0])
+        if self.decoder == "fast":
+            role_swap(k)  # raises HrOrthogonalityError if no pairing holds
+        elif self.decoder == "cfnc":
+            self.cfnc_config()  # raises if theta collapses distinct pairs
 
     def constants_at(self, snr_db: float) -> SchemeConstants:
         a, b, c, d = self.constants
@@ -126,20 +135,13 @@ class FrameResult:
     output: DecodeOutput
 
     @property
-    def a_error(self) -> bool:
-        return self.output.xa_idx != self.xa_idx
-
-    @property
-    def b_error(self) -> bool:
-        return self.output.xb_idx != self.xb_idx
-
-    @property
     def joint_error(self) -> bool:
-        return self.a_error or self.b_error
+        return (self.output.xa_idx, self.output.xb_idx) != (self.xa_idx, self.xb_idx)
 
 
 def run_frame(spec: SweepSpec, snr_db: float, rng: RngStream) -> FrameResult:
-    """One complete frame through the scalar reference path.
+    """One complete frame: scalar relay, then the sweep's destination
+    decoder on a batch of one.
 
     Draw order is fixed: message indices (a then b), the five fade
     coefficients in ChannelRealization field order, then the three unit
@@ -173,11 +175,11 @@ def run_frame(spec: SweepSpec, snr_db: float, rng: RngStream) -> FrameResult:
         constants=k, signal_set=s, relay_map=f,
     )
     if spec.decoder == "min-euclid":
-        out = min_euclidean_decode(inp)
+        out = decode_frame(min_euclidean_decode, inp)
     elif spec.decoder == "novel-exhaustive":
-        out = novel_decode_exhaustive(inp)
+        out = decode_frame(novel_decode_exhaustive_batch, inp)
     else:
-        out = fast_decode(inp)
+        out = decode_frame(fast_decode, inp)
     return FrameResult(ia, ib, relay_pair, nc_error, out)
 
 
@@ -196,13 +198,8 @@ class _Counts:
     errors_relay_wrong: int = 0
 
     def __iadd__(self, other: "_Counts") -> "_Counts":
-        self.trials += other.trials
-        self.errors += other.errors
-        self.errors_a += other.errors_a
-        self.errors_b += other.errors_b
-        self.relay_wrong += other.relay_wrong
-        self.errors_relay_correct += other.errors_relay_correct
-        self.errors_relay_wrong += other.errors_relay_wrong
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
 
@@ -265,15 +262,9 @@ class SepCurve:
     spec: SweepSpec
     points: tuple[SepPoint, ...]
 
-    def point_at(self, snr_db: float) -> SepPoint:
-        for p in self.points:
-            if p.snr_db == snr_db:
-                return p
-        raise KeyError(f"no point at {snr_db} dB")
-
 
 # ---------------------------------------------------------------------------
-# Vectorised batch kernels
+# Batches
 
 
 @dataclass(frozen=True)
@@ -315,199 +306,6 @@ def draw_batch(gen: np.random.Generator, profile: FadingProfile, m: int, n: int)
     )
 
 
-def _sqmag(z: np.ndarray) -> np.ndarray:
-    return z.real**2 + z.imag**2
-
-
-def _relay_ml_batch(y_r, h_ar, h_br, k: SchemeConstants, pts: np.ndarray):
-    """Vectorised joint detection; argmin over the row-major (ia, ib) grid
-    matches the scalar lexicographic tie-break."""
-    root = math.sqrt(k.es)
-    ta = (h_ar * (root * k.a))[:, None] * pts[None, :]
-    tb = (h_br * (root * k.b))[:, None] * pts[None, :]
-    resid = _sqmag(y_r[:, None, None] - ta[:, :, None] - tb[:, None, :])
-    flat = resid.reshape(resid.shape[0], -1)
-    idx = np.argmin(flat, axis=1)
-    return idx // len(pts), idx % len(pts)
-
-
-def _qr_rotate_batch(h11, h21, h12, h22, h23, y1, y2):
-    """Vectorised Householder QR of [[h11,h12,0],[h21,h22,h23]] rows plus
-    rotation of the received pair; mirrors numerics.qr_2x3."""
-    n1 = np.hypot(np.abs(h11), np.abs(h21))
-    abs11 = np.abs(h11)
-    phase = np.where(abs11 > 0, h11 / np.where(abs11 > 0, abs11, 1.0), 1.0 + 0.0j)
-    u1 = h11 + phase * n1
-    u2 = h21
-    unorm2 = _sqmag(u1) + _sqmag(u2)
-    s = np.where(unorm2 > 0, 2.0 / np.where(unorm2 > 0, unorm2, 1.0), 0.0)
-    p11 = 1.0 - s * u1 * np.conj(u1)
-    p12 = -s * u1 * np.conj(u2)
-    p21 = -s * u2 * np.conj(u1)
-    p22 = 1.0 - s * u2 * np.conj(u2)
-
-    r11_raw = p11 * h11 + p12 * h21
-    r12_raw = p11 * h12 + p12 * h22
-    r22_raw = p21 * h12 + p22 * h22
-    r23_raw = p22 * h23
-    a1 = np.abs(r11_raw)
-    d1 = np.where(a1 > 0, np.conj(r11_raw) / np.where(a1 > 0, a1, 1.0), 1.0 + 0.0j)
-    a2 = np.abs(r22_raw)
-    d2 = np.where(a2 > 0, np.conj(r22_raw) / np.where(a2 > 0, a2, 1.0), 1.0 + 0.0j)
-
-    r11 = a1.astype(np.complex128)
-    r12 = d1 * r12_raw
-    r22 = a2.astype(np.complex128)
-    r23 = d2 * r23_raw
-    yt1 = d1 * (p11 * y1 + p12 * y2)
-    yt2 = d2 * (p21 * y1 + p22 * y2)
-    return r11, r12, r22, r23, yt1, yt2
-
-
-def _fast_decode_batch(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, swap: bool):
-    if swap:
-        h11, h21 = k.b * h_bd, k.d * h_bd
-        h12, h22 = k.a * h_ad, k.c * h_ad
-        cells = cells.T
-    else:
-        h11, h21 = k.a * h_ad, k.c * h_ad
-        h12, h22 = k.b * h_bd, k.d * h_bd
-    r11, r12, r22, r23, yt1, yt2 = _qr_rotate_batch(h11, h21, h12, h22, h_rd, y1, y2)
-
-    root = math.sqrt(k.es)
-    ln_es = math.log(k.es)
-    m = len(pts)
-    n = len(y1)
-    t11 = (r11 * root)[:, None] * pts[None, :]
-    t23 = (r23 * root)[:, None] * pts[None, :]
-
-    best_m = np.full(n, np.inf)
-    best_first = np.zeros(n, dtype=np.int64)
-    best_second = np.zeros(n, dtype=np.int64)
-    best_correct = np.zeros(n, dtype=bool)
-    for jb in range(m):
-        c1 = yt1 - r12 * (root * pts[jb])
-        c2 = yt2 - r22 * (root * pts[jb])
-        phi1 = _sqmag(c1[:, None] - t11)
-        phi3 = _sqmag(c2[:, None] - t23)
-        min1 = phi1.min(axis=1)
-        a2 = phi1.argmin(axis=1)
-        min3 = phi3.min(axis=1)
-        comb = phi1 + phi3[:, cells[:, jb]]
-        b1 = comb.min(axis=1)
-        a1 = comb.argmin(axis=1)
-        b2_pen = min1 + min3 + ln_es
-
-        correct = b1 < b2_pen
-        mj = np.where(correct, b1, b2_pen)
-        aj = np.where(correct, a1, a2)
-        upd = mj < best_m
-        best_m = np.where(upd, mj, best_m)
-        best_first = np.where(upd, aj, best_first)
-        best_second = np.where(upd, jb, best_second)
-        best_correct = np.where(upd, correct, best_correct)
-    if swap:
-        return best_second, best_first, best_correct
-    return best_first, best_second, best_correct
-
-
-def _exhaustive_decode_batch(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells):
-    root = math.sqrt(k.es)
-    ln_es = math.log(k.es)
-    m = len(pts)
-    n = len(y1)
-    a1t = (h_ad * (root * k.a))[:, None] * pts[None, :]
-    b1t = (h_bd * (root * k.b))[:, None] * pts[None, :]
-    a2t = (h_ad * (root * k.c))[:, None] * pts[None, :]
-    b2t = (h_bd * (root * k.d))[:, None] * pts[None, :]
-    r2t = (h_rd * root)[:, None] * pts[None, :]
-
-    best1 = np.full((n, m), np.inf)
-    arg1 = np.zeros((n, m), dtype=np.int64)
-    best3 = np.full((n, m), np.inf)
-    arg3 = np.zeros((n, m), dtype=np.int64)
-    for ia in range(m):
-        for ib in range(m):
-            p1 = _sqmag(y1 - a1t[:, ia] - b1t[:, ib])
-            base2 = y2 - a2t[:, ia] - b2t[:, ib]
-            p2 = _sqmag(base2[:, None] - r2t)
-            fidx = cells[ia, ib]
-            m1 = p1 + p2[:, fidx]
-            p2_other = p2.copy()
-            p2_other[:, fidx] = np.inf
-            m2 = p1 + p2_other.min(axis=1)
-            m3 = np.minimum(m1, m2)
-            upd1 = m1 < best1[:, ib]
-            best1[:, ib] = np.where(upd1, m1, best1[:, ib])
-            arg1[:, ib] = np.where(upd1, ia, arg1[:, ib])
-            upd3 = m3 < best3[:, ib]
-            best3[:, ib] = np.where(upd3, m3, best3[:, ib])
-            arg3[:, ib] = np.where(upd3, ia, arg3[:, ib])
-
-    best_m = np.full(n, np.inf)
-    best_a = np.zeros(n, dtype=np.int64)
-    best_b = np.zeros(n, dtype=np.int64)
-    best_correct = np.zeros(n, dtype=bool)
-    for ib in range(m):
-        pen = best3[:, ib] + ln_es
-        correct = best1[:, ib] < pen
-        mj = np.where(correct, best1[:, ib], pen)
-        aj = np.where(correct, arg1[:, ib], arg3[:, ib])
-        upd = mj < best_m
-        best_m = np.where(upd, mj, best_m)
-        best_a = np.where(upd, aj, best_a)
-        best_b = np.where(upd, ib, best_b)
-        best_correct = np.where(upd, correct, best_correct)
-    return best_a, best_b, best_correct
-
-
-def _min_euclid_decode_batch(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells):
-    root = math.sqrt(k.es)
-    m = len(pts)
-    n = len(y1)
-    a1t = (h_ad * (root * k.a))[:, None] * pts[None, :]
-    b1t = (h_bd * (root * k.b))[:, None] * pts[None, :]
-    a2t = (h_ad * (root * k.c))[:, None] * pts[None, :]
-    b2t = (h_bd * (root * k.d))[:, None] * pts[None, :]
-    gr = h_rd * root
-
-    best = np.full(n, np.inf)
-    best_a = np.zeros(n, dtype=np.int64)
-    best_b = np.zeros(n, dtype=np.int64)
-    for ia in range(m):
-        for ib in range(m):
-            v = _sqmag(y1 - a1t[:, ia] - b1t[:, ib]) + _sqmag(y2 - a2t[:, ia] - b2t[:, ib] - gr * pts[cells[ia, ib]])
-            upd = v < best
-            best = np.where(upd, v, best)
-            best_a = np.where(upd, ia, best_a)
-            best_b = np.where(upd, ib, best_b)
-    return best_a, best_b
-
-
-def _cfnc_decode_batch(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cfg: CfncConfig):
-    root = math.sqrt(k.es)
-    m = len(pts)
-    n = len(y1)
-    a1t = (h_ad * (root * k.a))[:, None] * pts[None, :]
-    b1t = (h_bd * (root * k.b))[:, None] * pts[None, :]
-    a2t = (h_ad * (root * k.c))[:, None] * pts[None, :]
-    b2t = (h_bd * (root * k.d))[:, None] * pts[None, :]
-    gr = h_rd * root
-
-    best = np.full(n, np.inf)
-    best_a = np.zeros(n, dtype=np.int64)
-    best_b = np.zeros(n, dtype=np.int64)
-    for ia in range(m):
-        for ib in range(m):
-            comb = cfg.power_norm * (pts[ia] + cfg.theta * pts[ib])
-            v = _sqmag(y1 - a1t[:, ia] - b1t[:, ib]) + _sqmag(y2 - a2t[:, ia] - b2t[:, ib] - gr * comb)
-            upd = v < best
-            best = np.where(upd, v, best)
-            best_a = np.where(upd, ia, best_a)
-            best_b = np.where(upd, ib, best_b)
-    return best_a, best_b
-
-
 def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index: int, n: int) -> _Counts:
     """Simulate one batch of frames and return its integer counters."""
     gen = np.random.Generator(philox_bits(spec.seed, _stream_id(point_index, batch_index)))
@@ -521,7 +319,7 @@ def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index
     xb = pts[d.ib]
     y_r = d.h_ar * (root * k.a) * xa + d.h_br * (root * k.b) * xb + d.z_r
     y_d1 = d.h_ad * (root * k.a) * xa + d.h_bd * (root * k.b) * xb + d.z_d1
-    ra, rb = _relay_ml_batch(y_r, d.h_ar, d.h_br, k, pts)
+    ra, rb = relay_ml_decode_batch(y_r, d.h_ar, d.h_br, k, pts)
 
     if spec.decoder == "cfnc":
         cfg = spec.cfnc_config()
@@ -532,15 +330,15 @@ def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index
         nc_wrong = cells[ra, rb] != cells[d.ia, d.ib]
     y_d2 = d.h_ad * (root * k.c) * xa + d.h_bd * (root * k.d) * xb + d.h_rd * root * x_r + d.z_d2
 
+    frames = (y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
     if spec.decoder == "fast":
-        swap = _needs_role_swap(k)
-        da, db, _ = _fast_decode_batch(y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, cells, swap)
+        da, db, _ = fast_decode(*frames, cells)
     elif spec.decoder == "novel-exhaustive":
-        da, db, _ = _exhaustive_decode_batch(y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, cells)
+        da, db, _ = novel_decode_exhaustive_batch(*frames, cells)
     elif spec.decoder == "min-euclid":
-        da, db = _min_euclid_decode_batch(y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, cells)
+        da, db, _ = min_euclidean_decode(*frames, cells)
     else:
-        da, db = _cfnc_decode_batch(y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, spec.cfnc_config())
+        da, db, _ = cfnc_destination_decode(*frames, cfg)
 
     err_a = da != d.ia
     err_b = db != d.ib
@@ -556,15 +354,6 @@ def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index
     )
 
 
-def _needs_role_swap(k: SchemeConstants) -> bool:
-    wm = weight_matrices(k)
-    if check_hr_orthogonal(wm.wa, wm.wr):
-        return False
-    if check_hr_orthogonal(wm.wb, wm.wr):
-        return True
-    raise HrOrthogonalityError("constants admit no fast decoding; use decoder='novel-exhaustive'")
-
-
 def _stream_id(point_index: int, batch_index: int) -> int:
     return (point_index << 32) | batch_index
 
@@ -572,7 +361,11 @@ def _stream_id(point_index: int, batch_index: int) -> int:
 def thread_count(explicit: int | None = None) -> int:
     if explicit is not None:
         return max(1, explicit)
-    return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
+    raw = os.environ.get(THREADS_ENV_VAR, "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None, progress=None) -> SepCurve:
@@ -584,43 +377,30 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, progress=None) -> Sep
     rounds, so the set of simulated batches is a pure function of the spec.
     """
     nthreads = thread_count(threads)
-    pool = ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else None
     points = []
-    for pidx, snr_db in enumerate(spec.snr_points_db):
-        counts = _Counts()
-        planned = 0
-        batch_index = 0
-        while planned < spec.trials_per_point and counts.errors < spec.error_target:
-            round_batches: list[tuple[int, int]] = []
-            for _ in range(ROUND_WIDTH):
-                if planned >= spec.trials_per_point:
-                    break
-                nb = min(BATCH_SIZE, spec.trials_per_point - planned)
-                round_batches.append((batch_index, nb))
-                batch_index += 1
-                planned += nb
-            if pool is not None and len(round_batches) > 1:
-                results = list(pool.map(lambda bn: simulate_batch(spec, snr_db, pidx, bn[0], bn[1]), round_batches))
-            else:
-                results = [simulate_batch(spec, snr_db, pidx, b, n) for b, n in round_batches]
-            for r in results:
-                counts += r
-        points.append(
-            SepPoint(
-                snr_db=snr_db,
-                trials=counts.trials,
-                errors=counts.errors,
-                errors_a=counts.errors_a,
-                errors_b=counts.errors_b,
-                relay_wrong=counts.relay_wrong,
-                errors_relay_correct=counts.errors_relay_correct,
-                errors_relay_wrong=counts.errors_relay_wrong,
-            )
-        )
-        if progress is not None:
-            progress(points[-1])
-    if pool is not None:
-        pool.shutdown()
+    with ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else contextlib.nullcontext() as pool:
+        for pidx, snr_db in enumerate(spec.snr_points_db):
+            counts = _Counts()
+            planned = 0
+            batch_index = 0
+            while planned < spec.trials_per_point and counts.errors < spec.error_target:
+                round_batches: list[tuple[int, int]] = []
+                for _ in range(ROUND_WIDTH):
+                    if planned >= spec.trials_per_point:
+                        break
+                    nb = min(BATCH_SIZE, spec.trials_per_point - planned)
+                    round_batches.append((batch_index, nb))
+                    batch_index += 1
+                    planned += nb
+                if pool is not None and len(round_batches) > 1:
+                    results = list(pool.map(lambda bn: simulate_batch(spec, snr_db, pidx, bn[0], bn[1]), round_batches))
+                else:
+                    results = [simulate_batch(spec, snr_db, pidx, b, n) for b, n in round_batches]
+                for r in results:
+                    counts += r
+            points.append(SepPoint(snr_db=snr_db, **dataclasses.asdict(counts)))
+            if progress is not None:
+                progress(points[-1])
     return SepCurve(spec=spec, points=tuple(points))
 
 
@@ -646,7 +426,9 @@ def equivalence_battery(
 ) -> EquivalenceReport:
     """Compare fast_decode against novel_decode_exhaustive frame by frame.
 
-    Each (SNR, profile) cell gets its own stream.  Half the frames replace
+    Each (SNR, profile) cell gets its own stream; its frames are drawn and
+    relayed one at a time, then the batch fast decoder decodes the whole
+    cell in one call and the scalar exhaustive reference checks each frame.  Half the frames replace
     the relay's true decision with a uniformly random wrong network-coded
     symbol so the relay-error branch is exercised at every SNR, not only
     where relay errors occur naturally.
@@ -655,6 +437,8 @@ def equivalence_battery(
         profiles = PROFILE_PRESETS
     s = make_psk(m)
     f = modulo_latin(m) if map_kind == "modulo" else xor_latin(m)
+    pts = np.asarray(s.points, dtype=np.complex128)
+    cells = np.asarray(f.cells, dtype=np.int64)
     frames = 0
     mismatches = 0
     first: str | None = None
@@ -662,9 +446,10 @@ def equivalence_battery(
     cell = 0
     for snr_db in snr_points_db:
         for pname, profile in profiles.items():
-            k = SchemeConstants(*_example1_abcd(), es=db_to_linear(snr_db))
+            k = example1_constants(db_to_linear(snr_db))
             rng = RngStream(seed, cell)
             cell += 1
+            inputs = []
             for _ in range(frames_per_cell):
                 ia = rng.index(m)
                 ib = rng.index(m)
@@ -684,15 +469,18 @@ def equivalence_battery(
                     relay_pair = relay_ml_decode(y_r, h, k, s)
                     x_r = relay_forward(relay_pair, f, s)
                 y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
-                inp = DecodeInput(
+                inputs.append(DecodeInput(
                     y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd,
                     constants=k, signal_set=s, relay_map=f,
-                )
-                got_fast = fast_decode(inp)
-                got_ref = novel_decode_exhaustive(inp)
+                ))
+            columns = (np.array([getattr(inp, name) for inp in inputs], dtype=np.complex128)
+                       for name in ("y_d1", "y_d2", "h_ad", "h_bd", "h_rd"))
+            fa, fb, fcorrect = fast_decode(*columns, k, pts, cells)
+            for inp, got in zip(inputs, zip(fa.tolist(), fb.tolist(), fcorrect.tolist())):
+                ref = novel_decode_exhaustive(inp)
                 frames += 1
-                if got_fast != got_ref:
+                if got != (ref.xa_idx, ref.xb_idx, ref.branch is Branch.RELAY_CORRECT):
                     mismatches += 1
                     if first is None:
-                        first = f"snr={snr_db} profile={pname} fast={got_fast} ref={got_ref}"
+                        first = f"snr={snr_db} profile={pname} fast={got} ref={ref}"
     return EquivalenceReport(frames=frames, mismatches=mismatches, first_mismatch=first)

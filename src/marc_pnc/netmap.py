@@ -37,20 +37,9 @@ class LatinSquare:
     def order(self) -> int:
         return len(self.cells)
 
-    def __call__(self, ia: int, ib: int) -> int:
-        return self.cells[ia][ib]
-
-    def transposed(self) -> "LatinSquare":
-        return LatinSquare(tuple(zip(*self.cells)))
-
     def to_text(self) -> str:
         """Plain-text grid, one row per line, space-separated indices."""
         return "\n".join(" ".join(str(v) for v in row) for row in self.cells)
-
-    @classmethod
-    def from_text(cls, text: str) -> "LatinSquare":
-        rows = tuple(tuple(int(v) for v in line.split()) for line in text.strip().splitlines())
-        return cls(rows)
 
 
 def modulo_latin(m: int) -> LatinSquare:

@@ -1,11 +1,9 @@
-"""Small complex linear algebra and reproducible Gaussian sampling.
+"""The 2x3 QR decomposition and reproducible Gaussian sampling.
 
-Everything in the simulator works on scalars and matrices no larger than
-3x3, so this module keeps its own tiny matrix type instead of pulling in a
-general linear-algebra dependency on the hot per-frame path.  The one
-non-trivial routine is the QR decomposition of a 2x3 matrix, whose
-structural zeros (r21 always, r13 under the orthogonality condition checked
-in :mod:`marc_pnc.scheme`) carry the whole fast-decoder argument.
+The QR of the equivalent channel runs on whole batches of frames: every
+argument is an array with one entry per frame.  Its structural zeros (r21
+always, r13 under the orthogonality condition checked in
+:mod:`marc_pnc.scheme`) carry the whole fast-decoder argument.
 
 Randomness is counter-based: a ``RngStream`` is fully determined by a
 ``(seed, stream)`` pair of integers, so concurrent workers can draw from
@@ -14,159 +12,81 @@ disjoint streams and any trial can be replayed in isolation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-# Absolute tolerance for algebraic identities at double precision.
-ATOL = 1e-10
+
+def sqmag(z: np.ndarray) -> np.ndarray:
+    """Elementwise squared magnitude |z|^2."""
+    return z.real**2 + z.imag**2
 
 
-def _check_finite(z: complex) -> complex:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite complex entry: {z!r}")
-    return z
+class QrRotation(NamedTuple):
+    """Entries of ``r`` in ``h = q @ r`` and the rotated received pair
+    ``q* @ (y1, y2)``, one value per frame."""
+
+    r11: np.ndarray
+    r12: np.ndarray
+    r13: np.ndarray
+    r21: np.ndarray
+    r22: np.ndarray
+    r23: np.ndarray
+    yt1: np.ndarray
+    yt2: np.ndarray
 
 
-@dataclass(frozen=True)
-class CMatrix:
-    """Immutable row-major complex matrix, at most 3x3."""
+def qr_2x3(h11, h21, h12, h22, h23, y1, y2) -> QrRotation:
+    """QR-decompose ``h = [[h11, h12, 0], [h21, h22, h23]]`` frame by frame
+    (q 2x2 unitary) and rotate the received pair by q*.
 
-    rows: int
-    cols: int
-    data: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.rows <= 3 and 1 <= self.cols <= 3):
-            raise ValueError(f"unsupported shape {self.rows}x{self.cols}")
-        if len(self.data) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-        for z in self.data:
-            _check_finite(complex(z))
-
-    @classmethod
-    def from_rows(cls, rows) -> "CMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        flat = tuple(complex(z) for r in rows for z in r)
-        return cls(len(rows), ncols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "CMatrix":
-        return cls(n, n, tuple(1.0 + 0.0j if i == j else 0.0j for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "CMatrix":
-        return cls(rows, cols, (0.0j,) * (rows * cols))
-
-    def at(self, i: int, j: int) -> complex:
-        return self.data[i * self.cols + j]
-
-    def __getitem__(self, ij: tuple[int, int]) -> complex:
-        return self.at(*ij)
-
-    def row(self, i: int) -> tuple[complex, ...]:
-        return self.data[i * self.cols : (i + 1) * self.cols]
-
-    def inf_norm(self) -> float:
-        """Largest entry magnitude (entrywise max norm)."""
-        return max(abs(z) for z in self.data)
-
-    def sub(self, other: "CMatrix") -> "CMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return CMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.data, other.data)))
-
-    def add(self, other: "CMatrix") -> "CMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return CMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.data, other.data)))
-
-    def scale(self, z: complex) -> "CMatrix":
-        return CMatrix(self.rows, self.cols, tuple(z * a for a in self.data))
-
-
-def cmat_mul(a: CMatrix, b: CMatrix) -> CMatrix:
-    if a.cols != b.rows:
-        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            acc = 0.0j
-            for k in range(a.cols):
-                acc += a.at(i, k) * b.at(k, j)
-            out.append(acc)
-    return CMatrix(a.rows, b.cols, tuple(out))
-
-
-def conj_transpose(a: CMatrix) -> CMatrix:
-    return CMatrix(a.cols, a.rows, tuple(a.at(i, j).conjugate() for j in range(a.cols) for i in range(a.rows)))
-
-
-def det2(a: CMatrix) -> complex:
-    if (a.rows, a.cols) != (2, 2):
-        raise ValueError(f"det2 requires a 2x2 matrix, got {a.rows}x{a.cols}")
-    return a.at(0, 0) * a.at(1, 1) - a.at(0, 1) * a.at(1, 0)
-
-
-def qr_2x3(h: CMatrix) -> tuple[CMatrix, CMatrix]:
-    """QR-decompose a 2x3 matrix: ``h = q @ r`` with q 2x2 unitary.
-
-    A single Householder reflection zeroes the (2,1) entry, then both rows
+    The (1, 3) entry of h is zero because the relay is silent in phase 1.
+    A single Householder reflection zeroes the (2, 1) entry, then both rows
     are phase-normalised so the diagonal entries r11 and r22 come out real
     and non-negative.  With that convention the factorisation is unique
     (when the diagonal is positive), which keeps decoder comparisons
-    deterministic across implementations.
+    deterministic.  r21 is returned as an exact zero, as constructed; r13
+    is zero when h21 = 0, the Hurwitz-Radon case.
 
     A zero first column cannot be reflected; the reflection degenerates to
     the identity and r11 = 0, which still satisfies the convention.
     """
-    if (h.rows, h.cols) != (2, 3):
-        raise ValueError(f"qr_2x3 requires a 2x3 matrix, got {h.rows}x{h.cols}")
-    h11, h12, h13 = h.row(0)
-    h21, h22, h23 = h.row(1)
+    # Reflector u = c1 + e^{i arg(h11)} |c1| e1 (sign choice avoids
+    # cancellation); p = I - 2 u u* / (u* u) is unitary and Hermitian.
+    n1 = np.hypot(np.abs(h11), np.abs(h21))
+    abs11 = np.abs(h11)
+    phase = np.where(abs11 > 0, h11 / np.where(abs11 > 0, abs11, 1.0), 1.0 + 0.0j)
+    u1 = h11 + phase * n1
+    u2 = h21
+    unorm2 = sqmag(u1) + sqmag(u2)
+    s = np.where(unorm2 > 0, 2.0 / np.where(unorm2 > 0, unorm2, 1.0), 0.0)
+    p11 = 1.0 - s * u1 * np.conj(u1)
+    p12 = -s * u1 * np.conj(u2)
+    p21 = -s * u2 * np.conj(u1)
+    p22 = 1.0 - s * u2 * np.conj(u2)
 
-    n1 = math.hypot(abs(h11), abs(h21))
-    if n1 == 0.0:
-        # Degenerate channel: first column identically zero.
-        p11, p12, p21, p22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
-    else:
-        # Reflector u = c1 + e^{i arg(h11)} |c1| e1 (sign choice avoids
-        # cancellation); p = I - 2 u u* / (u* u) is unitary and Hermitian.
-        phase = h11 / abs(h11) if h11 != 0 else 1.0 + 0.0j
-        u1 = h11 + phase * n1
-        u2 = h21
-        unorm2 = u1.real * u1.real + u1.imag * u1.imag + u2.real * u2.real + u2.imag * u2.imag
-        s = 2.0 / unorm2
-        p11 = 1.0 - s * u1 * u1.conjugate()
-        p12 = -s * u1 * u2.conjugate()
-        p21 = -s * u2 * u1.conjugate()
-        p22 = 1.0 - s * u2 * u2.conjugate()
+    # Rows of p @ h, then per-row phase normalisation of the diagonal:
+    # q* = diag(d1, d2) @ p.
+    r11_raw = p11 * h11 + p12 * h21
+    r12_raw = p11 * h12 + p12 * h22
+    r22_raw = p21 * h12 + p22 * h22
+    r23_raw = p22 * h23
+    a1 = np.abs(r11_raw)
+    d1 = np.where(a1 > 0, np.conj(r11_raw) / np.where(a1 > 0, a1, 1.0), 1.0 + 0.0j)
+    a2 = np.abs(r22_raw)
+    d2 = np.where(a2 > 0, np.conj(r22_raw) / np.where(a2 > 0, a2, 1.0), 1.0 + 0.0j)
 
-    # Rows of p @ h, then per-row phase normalisation of the diagonal.
-    r1 = [p11 * h11 + p12 * h21, p11 * h12 + p12 * h22, p11 * h13 + p12 * h23]
-    r2 = [p21 * h11 + p22 * h21, p21 * h12 + p22 * h22, p21 * h13 + p22 * h23]
-
-    d1 = r1[0].conjugate() / abs(r1[0]) if r1[0] != 0 else 1.0 + 0.0j
-    d2 = r2[1].conjugate() / abs(r2[1]) if r2[1] != 0 else 1.0 + 0.0j
-    r1 = [d1 * z for z in r1]
-    r2 = [d2 * z for z in r2]
-    r1[0] = complex(abs(r1[0]), 0.0)
-    r2[1] = complex(abs(r2[1]), 0.0)
-    r2[0] = 0.0j  # exact by construction
-
-    # q* = diag(d1, d2) @ p, so q = p* @ diag(d1*, d2*); p is Hermitian.
-    q = CMatrix.from_rows(
-        [
-            [p11.conjugate() * d1.conjugate(), p21.conjugate() * d2.conjugate()],
-            [p12.conjugate() * d1.conjugate(), p22.conjugate() * d2.conjugate()],
-        ]
+    return QrRotation(
+        r11=a1.astype(np.complex128),
+        r12=d1 * r12_raw,
+        r13=d1 * (p12 * h23),
+        r21=np.zeros_like(r11_raw),
+        r22=a2.astype(np.complex128),
+        r23=d2 * r23_raw,
+        yt1=d1 * (p11 * y1 + p12 * y2),
+        yt2=d2 * (p21 * y1 + p22 * y2),
     )
-    r = CMatrix.from_rows([r1, r2])
-    return q, r
 
 
 def complex_gaussian(gen: np.random.Generator, sigma2: float, size: int | None = None):
@@ -218,8 +138,3 @@ class RngStream:
 def philox_bits(seed: int, stream: int) -> np.random.Philox:
     """Philox bit generator keyed by two 64-bit words."""
     return np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
-
-
-def sample_gaussian(rng: RngStream, sigma2: float) -> complex:
-    """One CN(0, sigma2) draw from the stream."""
-    return rng.gaussian(sigma2)

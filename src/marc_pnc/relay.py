@@ -2,28 +2,21 @@
 
 The relay sees a single superposed sample per frame and jointly detects the
 transmitted index pair over all M^2 candidates.  Exhaustive search is kept
-deliberately (M <= 64 here): it is exact, trivially auditable against an
-independent scan, and nowhere near the simulation bottleneck.
+deliberately (M <= 64 here): it is exact and easy to audit; the scalar
+``relay_ml_decode`` is the reference its batch form is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import ChannelRealization
 from .netmap import LatinSquare, apply_map
+from .numerics import sqmag
 from .scheme import SchemeConstants
 from .signalset import SignalSet
-
-
-@dataclass(frozen=True)
-class RelayDecision:
-    """Detected index pair and the symbol the relay will transmit."""
-
-    xa_idx: int
-    xb_idx: int
-    x_r: complex
 
 
 def relay_ml_decode(
@@ -56,17 +49,24 @@ def relay_ml_decode(
     return best_pair
 
 
+def relay_ml_decode_batch(
+    y_r: np.ndarray,
+    h_ar: np.ndarray,
+    h_br: np.ndarray,
+    k: SchemeConstants,
+    pts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``relay_ml_decode`` on a batch of frames.  The argmin over the
+    row-major (index_a, index_b) grid keeps the same lexicographic
+    tie-break."""
+    root = math.sqrt(k.es)
+    ta = (h_ar * (root * k.a))[:, None] * pts[None, :]
+    tb = (h_br * (root * k.b))[:, None] * pts[None, :]
+    resid = sqmag(y_r[:, None, None] - ta[:, :, None] - tb[:, None, :])
+    idx = np.argmin(resid.reshape(resid.shape[0], -1), axis=1)
+    return idx // len(pts), idx % len(pts)
+
+
 def relay_forward(dec: tuple[int, int], f: LatinSquare, s: SignalSet) -> complex:
     """Constellation point for the network-coded value of a decoded pair."""
     return apply_map(f, s, dec[0], dec[1])
-
-
-def relay_decide(
-    y_r: complex,
-    h: ChannelRealization,
-    k: SchemeConstants,
-    s: SignalSet,
-    f: LatinSquare,
-) -> RelayDecision:
-    ia, ib = relay_ml_decode(y_r, h, k, s)
-    return RelayDecision(xa_idx=ia, xb_idx=ib, x_r=relay_forward((ia, ib), f, s))

@@ -19,10 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import CMatrix, cmat_mul, conj_transpose, det2
+import numpy as np
+
 from .signalset import SignalSet, difference_set
 
 _ENERGY_TOL = 1e-12
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+#: The shipped default (a, b, c, d) = (1, 1/sqrt(2), 0, 1/sqrt(2)).
+EXAMPLE1_ABCD = (1.0 + 0.0j, _INV_SQRT2 + 0.0j, 0.0j, _INV_SQRT2 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -48,41 +54,36 @@ class SchemeConstants:
         if not self.es > 0:
             raise ValueError(f"es must be positive, got {self.es}")
 
-    def with_es(self, es: float) -> "SchemeConstants":
-        return SchemeConstants(self.a, self.b, self.c, self.d, es)
-
 
 def example1_constants(es: float) -> SchemeConstants:
     """The default constant choice a=1, b=d=1/sqrt(2), c=0."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return SchemeConstants(a=1.0 + 0.0j, b=inv_sqrt2 + 0.0j, c=0.0j, d=inv_sqrt2 + 0.0j, es=es)
+    return SchemeConstants(*EXAMPLE1_ABCD, es=es)
 
 
 @dataclass(frozen=True)
 class WeightMatrices:
     """Per-node 3x2 weights: wa acts on x_A, wb on x_B, wr on the relay symbol."""
 
-    wa: CMatrix
-    wb: CMatrix
-    wr: CMatrix
+    wa: np.ndarray
+    wb: np.ndarray
+    wr: np.ndarray
 
 
 def weight_matrices(k: SchemeConstants) -> WeightMatrices:
-    z = 0.0j
-    wa = CMatrix.from_rows([[k.a, k.c], [z, z], [z, z]])
-    wb = CMatrix.from_rows([[z, z], [k.b, k.d], [z, z]])
-    wr = CMatrix.from_rows([[z, z], [z, z], [z, 1.0 + 0.0j]])
+    wa = np.array([[k.a, k.c], [0, 0], [0, 0]], dtype=np.complex128)
+    wb = np.array([[0, 0], [k.b, k.d], [0, 0]], dtype=np.complex128)
+    wr = np.array([[0, 0], [0, 0], [0, 1]], dtype=np.complex128)
     return WeightMatrices(wa=wa, wb=wb, wr=wr)
 
 
-def codeword_matrix(k: SchemeConstants, xa: complex, xb: complex, xr: complex) -> CMatrix:
+def codeword_matrix(k: SchemeConstants, xa: complex, xb: complex, xr: complex) -> np.ndarray:
     """3x2 matrix whose columns are the two phases' noiseless transmit mix."""
-    return CMatrix.from_rows([[k.a * xa, k.c * xa], [k.b * xb, k.d * xb], [0.0j, xr]])
+    return np.array([[k.a * xa, k.c * xa], [k.b * xb, k.d * xb], [0, xr]], dtype=np.complex128)
 
 
-def restricted_diff_matrix(k: SchemeConstants, da: complex, db: complex) -> CMatrix:
+def restricted_diff_matrix(k: SchemeConstants, da: complex, db: complex) -> np.ndarray:
     """Top 2x2 block of a codeword difference matrix for differences (da, db)."""
-    return CMatrix.from_rows([[k.a * da, k.c * da], [k.b * db, k.d * db]])
+    return np.array([[k.a * da, k.c * da], [k.b * db, k.d * db]], dtype=np.complex128)
 
 
 def check_full_rank_condition(k: SchemeConstants, s: SignalSet, tol: float = 1e-9) -> bool:
@@ -97,16 +98,17 @@ def check_full_rank_condition(k: SchemeConstants, s: SignalSet, tol: float = 1e-
     diffs = [d for d in difference_set(s) if d != 0]
     for da in diffs:
         for db in diffs:
-            if abs(det2(restricted_diff_matrix(k, da, db))) <= tol:
+            (p, q), (r, t) = restricted_diff_matrix(k, da, db)
+            if abs(p * t - q * r) <= tol:
                 return False
     return True
 
 
-def check_hr_orthogonal(x: CMatrix, y: CMatrix, tol: float = 1e-12) -> bool:
+def check_hr_orthogonal(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> bool:
     """True iff x @ y* + y @ x* vanishes (entrywise max below tol)."""
-    if (x.rows, x.cols) != (y.rows, y.cols):
+    if x.shape != y.shape:
         raise ValueError("shape mismatch")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    total = cmat_mul(x, conj_transpose(y)).add(cmat_mul(y, conj_transpose(x)))
-    return total.inf_norm() <= tol
+    total = x @ y.conj().T + y @ x.conj().T
+    return float(np.abs(total).max()) <= tol

@@ -1,9 +1,8 @@
 """Unit-energy PSK constellations and their difference sets.
 
-Both sources draw symbols from the same M-point set with M a power of two;
-bit tuples map to points by natural binary labelling (tuple value k goes to
-the k-th point).  All downstream analysis is symbol-level, so the labelling
-only matters for bit-level statistics that this package does not report.
+Both sources draw symbols from the same M-point set with M a power of two.
+All analysis is symbol-level: symbols are identified by their index into
+the point tuple, and no bit labelling is defined.
 """
 
 from __future__ import annotations
@@ -48,19 +47,6 @@ def make_psk(m: int, phase_offset: float = 0.0) -> SignalSet:
         raise ValueError(f"M must be a power of two >= 2, got {m}")
     points = tuple(cmath.exp(1j * (2.0 * math.pi * k / m + phase_offset)) for k in range(m))
     return SignalSet(points=points, bits_per_symbol=m.bit_length() - 1)
-
-
-def map_bits(s: SignalSet, bits) -> complex:
-    """Map a bit tuple to its constellation point (natural binary labelling)."""
-    bits = tuple(bits)
-    if len(bits) != s.bits_per_symbol:
-        raise ValueError(f"expected {s.bits_per_symbol} bits, got {len(bits)}")
-    k = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0/1, got {b!r}")
-        k = (k << 1) | b
-    return s.points[k]
 
 
 def difference_set(s: SignalSet, tol: float = 1e-12) -> tuple[complex, ...]:

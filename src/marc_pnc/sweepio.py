@@ -11,13 +11,13 @@ byte-identical files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import __version__
 from .cfnc import DEFAULT_THETA
 from .channel import PROFILE_PRESETS, FadingProfile
-from .montecarlo import DECODERS, MAP_KINDS, SepCurve, SweepSpec
+from .montecarlo import SepCurve, SweepSpec
+from .scheme import EXAMPLE1_ABCD
 
 CSV_HEADER = "snr_db,sep_joint,sep_a,sep_b,p_relay_err,p_err_rc,p_err_rw,trials"
 
@@ -202,27 +202,20 @@ def spec_from_config(values: dict[str, str]) -> SweepSpec:
             rd=get_float("var_rd_db", 0.0),
         )
 
-    inv = 1.0 / math.sqrt(2.0)
-    constants = (
-        complex(get_float("a_re", 1.0), get_float("a_im", 0.0)),
-        complex(get_float("b_re", inv), get_float("b_im", 0.0)),
-        complex(get_float("c_re", 0.0), get_float("c_im", 0.0)),
-        complex(get_float("d_re", inv), get_float("d_im", 0.0)),
+    constants = tuple(
+        complex(get_float(f"{name}_re", z.real), get_float(f"{name}_im", z.imag))
+        for name, z in zip("abcd", EXAMPLE1_ABCD)
     )
     theta = complex(get_float("theta_re", DEFAULT_THETA.real), get_float("theta_im", DEFAULT_THETA.imag))
 
     snr_points = tuple(float(v) for v in values.get("snr_db", "0,10,20,30").split(","))
-    decoder = values.get("decoder", "fast")
-    map_kind = values.get("map", "modulo")
-    if decoder not in DECODERS or map_kind not in MAP_KINDS:
-        raise ValueError(f"decoder must be in {DECODERS} and map in {MAP_KINDS}")
     return SweepSpec(
         snr_points_db=snr_points,
         trials_per_point=int(values.get("trials", "100000")),
         profile=profile,
         m=int(values.get("m", "4")),
-        map_kind=map_kind,
-        decoder=decoder,
+        map_kind=values.get("map", "modulo"),
+        decoder=values.get("decoder", "fast"),
         constants=constants,
         seed=int(values.get("seed", "0")),
         theta=theta,

@@ -9,15 +9,16 @@ PASS/FAIL line that the conftest hook prints in the terminal summary.
 import math
 import time
 
+import numpy as np
 import pytest
 
 from marc_pnc.channel import PROFILE_PRESETS, sample_channel
 from marc_pnc.cli import SCENARIOS, snr_at_sep
-from marc_pnc.destination import DecodeInput, EvalCounter, fast_decode, novel_decode_exhaustive
+from marc_pnc.destination import DecodeInput, EvalCounter, decode_frame, fast_decode, novel_decode_exhaustive
 from marc_pnc.diversity import estimate_diversity, probability_window
 from marc_pnc.montecarlo import SweepSpec, equivalence_battery, run_sweep
 from marc_pnc.netmap import check_exclusive_law, modulo_latin, xor_latin
-from marc_pnc.numerics import CMatrix, RngStream, cmat_mul, qr_2x3
+from marc_pnc.numerics import RngStream, qr_2x3
 from marc_pnc.scheme import (
     SchemeConstants,
     check_full_rank_condition,
@@ -135,18 +136,21 @@ class TestCriterion3QrStructure:
     def test_structural_zeros_on_random_channels(self, acceptance_report):
         k = example1_constants(1.0)
         rng = RngStream(20_403, 0)
-        worst_r13 = 0.0
-        worst_recon = 0.0
-        r21_exact = True
-        for i in range(10_000):
-            h = sample_channel(rng, PROFILE_PRESETS[("equal", "sr-strong", "rd-strong")[i % 3]])
-            heq = CMatrix.from_rows(
-                [[k.a * h.h_ad, k.b * h.h_bd, 0.0], [k.c * h.h_ad, k.d * h.h_bd, h.h_rd]]
-            )
-            q, r = qr_2x3(heq)
-            r21_exact &= r.at(1, 0) == 0.0
-            worst_r13 = max(worst_r13, abs(r.at(0, 2)))
-            worst_recon = max(worst_recon, cmat_mul(q, r).sub(heq).inf_norm())
+        hs = [sample_channel(rng, PROFILE_PRESETS[("equal", "sr-strong", "rd-strong")[i % 3]]) for i in range(10_000)]
+        h_ad, h_bd, h_rd = (np.array([getattr(h, name) for h in hs]) for name in ("h_ad", "h_bd", "h_rd"))
+        heq = np.stack([
+            np.stack([k.a * h_ad, k.b * h_bd, np.zeros_like(h_ad)], -1),
+            np.stack([k.c * h_ad, k.d * h_bd, h_rd], -1),
+        ], -2)
+        # Rotating the unit vectors e1, e2 gives the columns of q*.
+        one, zero = np.ones_like(h_ad), np.zeros_like(h_ad)
+        e1 = qr_2x3(k.a * h_ad, k.c * h_ad, k.b * h_bd, k.d * h_bd, h_rd, one, zero)
+        e2 = qr_2x3(k.a * h_ad, k.c * h_ad, k.b * h_bd, k.d * h_bd, h_rd, zero, one)
+        q = np.conj(np.stack([np.stack([e1.yt1, e1.yt2], -1), np.stack([e2.yt1, e2.yt2], -1)], -2))
+        r = np.stack([np.stack([e1.r11, e1.r12, e1.r13], -1), np.stack([e1.r21, e1.r22, e1.r23], -1)], -2)
+        r21_exact = bool(np.all(r[:, 1, 0] == 0.0))
+        worst_r13 = float(np.abs(r[:, 0, 2]).max())
+        worst_recon = float(np.abs(q @ r - heq).max())
         ok = r21_exact and worst_r13 < 1e-10 and worst_recon < 1e-10
         acceptance_report(
             "criterion 3: rotated channel has exact lower zero and vanishing (1,3) entry",
@@ -248,7 +252,7 @@ class TestCriterion8ComplexityScaling:
                     h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f,
                 )
                 cf, ce = EvalCounter(), EvalCounter()
-                fast_decode(inp, counter=cf)
+                decode_frame(fast_decode, inp, counter=cf)
                 novel_decode_exhaustive(inp, counter=ce)
                 fast_n += cf.n
                 exh_n += ce.n

@@ -12,6 +12,7 @@ from marc_pnc.cfnc import (
     relay_combined_symbol,
 )
 from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS, sample_channel
+from marc_pnc.destination import DecodeInput, decode_frame
 from marc_pnc.numerics import RngStream
 from marc_pnc.scheme import example1_constants
 from marc_pnc.signalset import make_psk
@@ -104,7 +105,8 @@ class TestCfncFrames:
             h = sample_channel(rng, PROFILE_PRESETS["equal"])
             y_d1 = rng.gaussian(4.0)
             y_d2 = rng.gaussian(4.0)
-            out = cfnc_destination_decode(y_d1, y_d2, h, k, S4, cfg)
+            inp = DecodeInput(y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=S4)
+            out = decode_frame(cfnc_destination_decode, inp, relay=cfg)
             assert (out.xa_idx, out.xb_idx) == destination_oracle(y_d1, y_d2, h, k, S4, cfg)
 
     def test_noisy_frames_mostly_correct_at_high_snr(self):

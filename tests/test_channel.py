@@ -12,7 +12,7 @@ from marc_pnc.channel import (
     phase2,
     sample_channel,
 )
-from marc_pnc.numerics import CMatrix, RngStream, cmat_mul, complex_gaussian
+from marc_pnc.numerics import RngStream, complex_gaussian
 from marc_pnc.scheme import example1_constants
 from marc_pnc.signalset import make_psk
 
@@ -113,11 +113,10 @@ class TestMatrixFormConsistency:
             _, y_d1 = phase1(k, h, xa, xb, 0.0, z1)
             y_d2 = phase2(k, h, xa, xb, xr, z2)
 
-            hrow = CMatrix.from_rows([[h.h_ad, h.h_bd, h.h_rd]])
-            prod = cmat_mul(hrow, codeword_matrix(k, xa, xb, xr))
+            prod = np.array([h.h_ad, h.h_bd, h.h_rd]) @ codeword_matrix(k, xa, xb, xr)
             root = math.sqrt(k.es)
-            assert abs(y_d1 - (root * prod.at(0, 0) + z1)) < 1e-12 * root
-            assert abs(y_d2 - (root * prod.at(0, 1) + z2)) < 1e-12 * root
+            assert abs(y_d1 - (root * prod[0] + z1)) < 1e-12 * root
+            assert abs(y_d2 - (root * prod[1] + z2)) < 1e-12 * root
 
     def test_quasi_static_contract(self):
         # one realization serves both phases: sampling is outside the phase

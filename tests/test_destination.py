@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from marc_pnc.destination import (
     DecodeInput,
     EvalCounter,
     HrOrthogonalityError,
-    equivalent_channel,
+    decode_frame,
     fast_decode,
     metric_m1,
     metric_m2,
@@ -37,7 +38,7 @@ def make_input(y_d1, y_d2, h, k, s=S4, f=MOD4) -> DecodeInput:
 def random_decode_input(rng: RngStream, es: float, k=None, profile=None, force_relay_error=False):
     """One random frame through the true protocol, returning the decode
     input plus the transmitted indices and the relay decision."""
-    k = (example1_constants(es) if k is None else k.with_es(es))
+    k = (example1_constants(es) if k is None else dataclasses.replace(k, es=es))
     profile = profile or PROFILE_PRESETS["equal"]
     ia = rng.index(4)
     ib = rng.index(4)
@@ -57,6 +58,16 @@ def random_decode_input(rng: RngStream, es: float, k=None, profile=None, force_r
         x_r = relay_forward(relay_pair, MOD4, S4)
     y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
     return make_input(y_d1, y_d2, h, k), (ia, ib), relay_pair
+
+
+def frame_rotation(inp: DecodeInput):
+    """The 2x3 factor r of this frame's equivalent channel and the received
+    pair rotated by q*, from qr_2x3 on a batch of one."""
+    k = inp.constants
+    entries = (k.a * inp.h_ad, k.c * inp.h_ad, k.b * inp.h_bd, k.d * inp.h_bd, inp.h_rd, inp.y_d1, inp.y_d2)
+    qr = qr_2x3(*(np.array([z], dtype=np.complex128) for z in entries))
+    r = np.array([[qr.r11[0], qr.r12[0], qr.r13[0]], [qr.r21[0], qr.r22[0], qr.r23[0]]])
+    return r, (complex(qr.yt1[0]), complex(qr.yt2[0]))
 
 
 def noiseless_relay_correct_input(ia, ib, es, h=None):
@@ -168,7 +179,7 @@ class TestMetrics:
         base = noiseless_relay_correct_input(0, 0, es=2.0)
         low = make_input(base.y_d1, base.y_d2,
                          ChannelRealization(1.0, 1.0, base.h_ad, base.h_bd, base.h_rd),
-                         base.constants.with_es(0.5))
+                         dataclasses.replace(base.constants, es=0.5))
         with pytest.raises(ValueError, match="es >= 1"):
             metric_m4(low, 1.0, 1.0, 1.0)
 
@@ -199,7 +210,7 @@ class TestMinEuclideanDecode:
         for ia in range(4):
             for ib in range(4):
                 inp = noiseless_relay_correct_input(ia, ib, es=5.0)
-                out = min_euclidean_decode(inp)
+                out = decode_frame(min_euclidean_decode, inp)
                 assert (out.xa_idx, out.xb_idx) == (ia, ib)
                 assert out.branch is Branch.RELAY_CORRECT
 
@@ -212,14 +223,14 @@ class TestMinEuclideanDecode:
                 for ib in range(4):
                     rows.append((metric_m1(inp, S4.points[ia], S4.points[ib]), ia, ib))
             rows.sort()
-            out = min_euclidean_decode(inp)
+            out = decode_frame(min_euclidean_decode, inp)
             assert (out.xa_idx, out.xb_idx) == (rows[0][1], rows[0][2])
 
     def test_works_below_unit_energy(self):
         rng = RngStream(107, 0)
         k = example1_constants(0.25)
         inp, _, _ = random_decode_input(rng, es=0.25, k=k)
-        min_euclidean_decode(inp)  # no exception
+        decode_frame(min_euclidean_decode, inp)  # no exception
 
 
 class TestNovelDecodeExhaustive:
@@ -255,7 +266,7 @@ class TestNovelDecodeExhaustive:
 
         out = novel_decode_exhaustive(inp)
         assert (out.xa_idx, out.xb_idx, out.branch) == (ia, ib, Branch.RELAY_ERROR)
-        naive = min_euclidean_decode(inp)
+        naive = decode_frame(min_euclidean_decode, inp)
         assert (naive.xa_idx, naive.xb_idx) == (1, 0)
 
     def test_matches_metric_level_oracle(self):
@@ -312,7 +323,7 @@ class TestFastDecode:
         for i in range(3000):
             es = (1.0, 10.0, 100.0, 1000.0)[i % 4]
             inp, _, _ = random_decode_input(rng, es=es, force_relay_error=(i % 3 == 0))
-            assert fast_decode(inp) == novel_decode_exhaustive(inp)
+            assert decode_frame(fast_decode, inp) == novel_decode_exhaustive(inp)
 
     def test_equivalence_with_swapped_roles(self):
         # only (W_B, W_R) orthogonal: d = 0 forces the role-swapped path
@@ -320,41 +331,35 @@ class TestFastDecode:
         rng = RngStream(112, 0)
         for _ in range(2000):
             inp, _, _ = random_decode_input(rng, es=50.0, k=k)
-            assert fast_decode(inp) == novel_decode_exhaustive(inp)
+            assert decode_frame(fast_decode, inp) == novel_decode_exhaustive(inp)
 
     def test_refuses_without_orthogonality(self):
         k = SchemeConstants(a=INV, b=INV, c=INV, d=INV * 1j, es=4.0)
         inp = make_input(0.0, 0.0, ChannelRealization(1.0, 1.0, 1.0, 1.0, 1.0), k)
         with pytest.raises(HrOrthogonalityError):
-            fast_decode(inp)
+            decode_frame(fast_decode, inp)
 
     def test_requires_unit_snr(self):
         inp = noiseless_relay_correct_input(0, 0, es=5.0)
         low = DecodeInput(y_d1=inp.y_d1, y_d2=inp.y_d2, h_ad=inp.h_ad, h_bd=inp.h_bd, h_rd=inp.h_rd,
-                          constants=inp.constants.with_es(0.9), signal_set=S4, relay_map=MOD4)
+                          constants=dataclasses.replace(inp.constants, es=0.9), signal_set=S4, relay_map=MOD4)
         with pytest.raises(ValueError, match="es >= 1"):
-            fast_decode(low)
+            decode_frame(fast_decode, low)
 
     def test_r13_vanishes_on_random_frames(self):
         rng = RngStream(113, 0)
         for _ in range(500):
             inp, _, _ = random_decode_input(rng, es=25.0)
-            _, r = qr_2x3(equivalent_channel(inp))
-            assert abs(r.at(0, 2)) < 1e-10
+            r, _ = frame_rotation(inp)
+            assert abs(r[0, 2]) < 1e-10
 
 
 class TestPhiMetrics:
-    def frame_rotation(self, inp):
-        q, r = qr_2x3(equivalent_channel(inp))
-        yt1 = q.at(0, 0).conjugate() * inp.y_d1 + q.at(1, 0).conjugate() * inp.y_d2
-        yt2 = q.at(0, 1).conjugate() * inp.y_d1 + q.at(1, 1).conjugate() * inp.y_d2
-        return r, (yt1, yt2)
-
     def test_phi1_plus_phi2_matches_m1(self):
         rng = RngStream(114, 0)
         for _ in range(1000):
             inp, _, _ = random_decode_input(rng, es=12.0)
-            r, yt = self.frame_rotation(inp)
+            r, yt = frame_rotation(inp)
             for ia in range(4):
                 for ib in range(4):
                     xa, xb = S4.points[ia], S4.points[ib]
@@ -365,7 +370,7 @@ class TestPhiMetrics:
         rng = RngStream(115, 0)
         for _ in range(200):
             inp, _, _ = random_decode_input(rng, es=4.0)
-            r, yt = self.frame_rotation(inp)
+            r, yt = frame_rotation(inp)
             for ia in range(4):
                 for ib in range(4):
                     xa, xb = S4.points[ia], S4.points[ib]
@@ -376,7 +381,7 @@ class TestPhiMetrics:
     def test_zero_inputs_zero_metrics(self):
         k = example1_constants(1.0)
         inp = make_input(0.0, 0.0, ChannelRealization(1.0, 1.0, 1.0, 1.0, 1.0), k)
-        r, _ = self.frame_rotation(inp)
+        r, _ = frame_rotation(inp)
         # zero received pair and zero symbols: every term vanishes
         phis = phi_metrics(inp, r, (0.0, 0.0), 0.0, 0.0, 0.0)
         assert phis == (0.0, 0.0, 0.0)
@@ -385,7 +390,7 @@ class TestPhiMetrics:
         rng = RngStream(116, 0)
         for _ in range(300):
             inp, _, _ = random_decode_input(rng, es=9.0)
-            r, yt = self.frame_rotation(inp)
+            r, yt = frame_rotation(inp)
             root = math.sqrt(inp.constants.es)
             k = inp.constants
             for ia in range(4):
@@ -398,8 +403,8 @@ class TestPhiMetrics:
                                   - inp.h_rd * root * xr) ** 2
                         )
                         rotated = (
-                            abs(yt[0] - r.at(0, 0) * root * xa - r.at(0, 1) * root * xb - r.at(0, 2) * root * xr) ** 2
-                            + abs(yt[1] - r.at(1, 1) * root * xb - r.at(1, 2) * root * xr) ** 2
+                            abs(yt[0] - r[0, 0] * root * xa - r[0, 1] * root * xb - r[0, 2] * root * xr) ** 2
+                            + abs(yt[1] - r[1, 1] * root * xb - r[1, 2] * root * xr) ** 2
                         )
                         assert rotated == pytest.approx(direct, abs=1e-8 * max(1.0, direct))
 
@@ -408,7 +413,7 @@ class TestPhiMetrics:
         rng = RngStream(117, 0)
         for _ in range(200):
             inp, _, _ = random_decode_input(rng, es=16.0)
-            r, yt = self.frame_rotation(inp)
+            r, yt = frame_rotation(inp)
             for ib in range(4):
                 xb = S4.points[ib]
                 m3_min = min(metric_m3(inp, S4.points[ia], xb) for ia in range(4))
@@ -428,9 +433,9 @@ class TestEvalCounts:
         inp = DecodeInput(y_d1=rng.gaussian(1.0), y_d2=rng.gaussian(1.0), h_ad=h.h_ad, h_bd=h.h_bd,
                           h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f)
         c_fast, c_exh, c_naive = EvalCounter(), EvalCounter(), EvalCounter()
-        fast_decode(inp, counter=c_fast)
+        decode_frame(fast_decode, inp, counter=c_fast)
         novel_decode_exhaustive(inp, counter=c_exh)
-        min_euclidean_decode(inp, counter=c_naive)
+        decode_frame(min_euclidean_decode, inp, counter=c_naive)
         assert c_fast.n == 2 * m * m
         assert c_exh.n == m**3
         assert c_naive.n == m * m

@@ -1,30 +1,42 @@
+import cmath
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from marc_pnc import montecarlo
+from marc_pnc.cfnc import cfnc_destination_decode
 from marc_pnc.channel import PROFILE_PRESETS, ChannelRealization
-from marc_pnc.destination import Branch, DecodeInput, fast_decode, min_euclidean_decode, novel_decode_exhaustive
+from marc_pnc.destination import (
+    Branch,
+    DecodeInput,
+    HrOrthogonalityError,
+    fast_decode,
+    metric_m1,
+    min_euclidean_decode,
+    novel_decode_exhaustive,
+    novel_decode_exhaustive_batch,
+)
 from marc_pnc.montecarlo import (
     BATCH_SIZE,
     THREADS_ENV_VAR,
     SweepSpec,
     thread_count,
-    _cfnc_decode_batch,
-    _exhaustive_decode_batch,
-    _fast_decode_batch,
-    _min_euclid_decode_batch,
-    _relay_ml_batch,
     draw_batch,
     run_frame,
     run_sweep,
 )
 from marc_pnc.numerics import RngStream, philox_bits
-from marc_pnc.relay import relay_ml_decode
-from marc_pnc.cfnc import cfnc_destination_decode
+from marc_pnc.relay import relay_ml_decode, relay_ml_decode_batch
 from marc_pnc.sweepio import curve_to_csv
+from test_cfnc import destination_oracle
 
 EQUAL = PROFILE_PRESETS["equal"]
+INV = 1.0 / math.sqrt(2.0)
+# d = 0: only the B and relay weight matrices are Hurwitz-Radon orthogonal,
+# so the fast decoder runs with the source roles swapped.
+ROLE_SWAP_CONSTANTS = (INV + 0j, 1.0 + 0j, INV + 0j, 0j)
 
 
 def small_spec(**kw) -> SweepSpec:
@@ -53,6 +65,24 @@ class TestSweepSpec:
     def test_invalid_constants_rejected(self):
         with pytest.raises(ValueError):
             small_spec(constants=(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 0.0j))
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 6, 12])
+    def test_m_must_be_power_of_two(self, m):
+        with pytest.raises(ValueError, match="power of two"):
+            small_spec(m=m)
+
+    def test_fast_decoder_needs_an_hr_pairing(self):
+        neither = (INV + 0j, INV + 0j, INV + 0j, INV * 1j)
+        with pytest.raises(HrOrthogonalityError):
+            small_spec(constants=neither)
+        small_spec(constants=neither, decoder="novel-exhaustive")
+        small_spec(constants=ROLE_SWAP_CONSTANTS, m=8, map_kind="xor")
+
+    def test_cfnc_theta_must_keep_pairs_distinct(self):
+        # the default coefficient is an 8th root of unity and collides on 8-PSK
+        with pytest.raises(ValueError, match="collapses"):
+            small_spec(decoder="cfnc", m=8)
+        small_spec(decoder="cfnc", m=8, theta=cmath.exp(1j * math.pi / 8))
 
 
 class TestRunFrame:
@@ -96,6 +126,46 @@ class TestRunFrame:
         assert fr.output.branch is Branch.RELAY_CORRECT
 
 
+def check_batch_kernels_against_oracles(spec, snr_db, n):
+    """Draw and relay n frames as simulate_batch does, then hold each batch
+    kernel to an independent reference: scalar relay ML for the relay, the
+    scalar exhaustive rule for both aware decoders, a metric_m1 scan for
+    minimum distance and the grid oracle of test_cfnc for the baseline."""
+    s = spec.signal_set()
+    f = spec.relay_map()
+    pts = np.asarray(s.points)
+    cells = np.asarray(f.cells)
+    k = spec.constants_at(snr_db)
+    cfg = spec.cfnc_config()
+    root = math.sqrt(k.es)
+    d = draw_batch(np.random.Generator(philox_bits(123, 9)), EQUAL, spec.m, n)
+    xa, xb = pts[d.ia], pts[d.ib]
+    y_r = d.h_ar * (root * k.a) * xa + d.h_br * (root * k.b) * xb + d.z_r
+    y_d1 = d.h_ad * (root * k.a) * xa + d.h_bd * (root * k.b) * xb + d.z_d1
+    ra, rb = relay_ml_decode_batch(y_r, d.h_ar, d.h_br, k, pts)
+    x_r = pts[cells[ra, rb]]
+    y_d2 = d.h_ad * (root * k.c) * xa + d.h_bd * (root * k.d) * xb + d.h_rd * root * x_r + d.z_d2
+
+    frames = (y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
+    fast = np.stack(fast_decode(*frames, cells), axis=1).tolist()
+    exhaustive = np.stack(novel_decode_exhaustive_batch(*frames, cells), axis=1).tolist()
+    naive = np.stack(min_euclidean_decode(*frames, cells)[:2], axis=1).tolist()
+    combining = np.stack(cfnc_destination_decode(*frames, cfg)[:2], axis=1).tolist()
+
+    for i in range(n):
+        _, _, h, _, _, _ = d.frame(i)
+        assert relay_ml_decode(complex(y_r[i]), h, k, s) == (int(ra[i]), int(rb[i]))
+        inp = DecodeInput(y_d1=complex(y_d1[i]), y_d2=complex(y_d2[i]), h_ad=h.h_ad, h_bd=h.h_bd,
+                          h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f)
+        ref = novel_decode_exhaustive(inp)
+        want = [ref.xa_idx, ref.xb_idx, int(ref.branch is Branch.RELAY_CORRECT)]
+        assert fast[i] == want
+        assert exhaustive[i] == want
+        scan = min((metric_m1(inp, s.points[ia], s.points[ib]), ia, ib) for ia in range(s.m) for ib in range(s.m))
+        assert naive[i] == [scan[1], scan[2]]
+        assert tuple(combining[i]) == destination_oracle(complex(y_d1[i]), complex(y_d2[i]), h, k, s, cfg)
+
+
 class TestBatchKernels:
     @pytest.mark.parametrize(
         "snr_db,m,map_kind,n",
@@ -105,40 +175,12 @@ class TestBatchKernels:
         # the default combining coefficient is an 8th root of unity and
         # collides on 8-PSK; rotate by half an angular step there
         theta = complex(math.cos(math.pi / m), math.sin(math.pi / m))
-        spec = small_spec(m=m, map_kind=map_kind, theta=theta)
-        s = spec.signal_set()
-        f = spec.relay_map()
-        pts = np.asarray(s.points)
-        cells = np.asarray(f.cells)
-        k = spec.constants_at(snr_db)
-        root = math.sqrt(k.es)
-        gen = np.random.Generator(philox_bits(123, 9))
-        d = draw_batch(gen, EQUAL, m, n)
-        xa, xb = pts[d.ia], pts[d.ib]
-        y_r = d.h_ar * (root * k.a) * xa + d.h_br * (root * k.b) * xb + d.z_r
-        y_d1 = d.h_ad * (root * k.a) * xa + d.h_bd * (root * k.b) * xb + d.z_d1
-        ra, rb = _relay_ml_batch(y_r, d.h_ar, d.h_br, k, pts)
-        x_r = pts[cells[ra, rb]]
-        y_d2 = d.h_ad * (root * k.c) * xa + d.h_bd * (root * k.d) * xb + d.h_rd * root * x_r + d.z_d2
+        check_batch_kernels_against_oracles(small_spec(m=m, map_kind=map_kind, theta=theta), snr_db, n)
 
-        fa, fb, fcorr = _fast_decode_batch(y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, cells, False)
-        ea, eb, ecorr = _exhaustive_decode_batch(y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, cells)
-        ma, mb = _min_euclid_decode_batch(y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, cells)
-        ca, cb = _cfnc_decode_batch(y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, spec.cfnc_config())
-
-        for i in range(n):
-            ia_s, ib_s, h, z_r_s, z1_s, z2_s = d.frame(i)
-            assert relay_ml_decode(complex(y_r[i]), h, k, s) == (int(ra[i]), int(rb[i]))
-            inp = DecodeInput(y_d1=complex(y_d1[i]), y_d2=complex(y_d2[i]), h_ad=h.h_ad, h_bd=h.h_bd,
-                              h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f)
-            of = fast_decode(inp)
-            assert (of.xa_idx, of.xb_idx, of.branch is Branch.RELAY_CORRECT) == (int(fa[i]), int(fb[i]), bool(fcorr[i]))
-            oe = novel_decode_exhaustive(inp)
-            assert (oe.xa_idx, oe.xb_idx, oe.branch is Branch.RELAY_CORRECT) == (int(ea[i]), int(eb[i]), bool(ecorr[i]))
-            om = min_euclidean_decode(inp)
-            assert (om.xa_idx, om.xb_idx) == (int(ma[i]), int(mb[i]))
-            oc = cfnc_destination_decode(complex(y_d1[i]), complex(y_d2[i]), h, k, s, spec.cfnc_config())
-            assert (oc.xa_idx, oc.xb_idx) == (int(ca[i]), int(cb[i]))
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0])
+    def test_role_swapped_kernels_match_oracles(self, snr_db):
+        spec = small_spec(m=8, map_kind="xor", constants=ROLE_SWAP_CONSTANTS, theta=cmath.exp(1j * math.pi / 8))
+        check_batch_kernels_against_oracles(spec, snr_db, 250)
 
 
 class TestRunSweep:
@@ -164,6 +206,23 @@ class TestRunSweep:
         assert thread_count(2) == 2
         monkeypatch.delenv(THREADS_ENV_VAR)
         assert thread_count() == 1
+
+    def test_malformed_thread_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "two")
+        with pytest.raises(ValueError, match=THREADS_ENV_VAR):
+            thread_count()
+
+    def test_failed_batch_leaves_no_pool_threads(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("batch failed")
+
+        monkeypatch.setattr(montecarlo, "simulate_batch", fail)
+        # two batches per round, so the round goes through the pool
+        spec = small_spec(trials_per_point=2 * BATCH_SIZE, error_target=10**9)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="batch failed"):
+            run_sweep(spec, threads=2)
+        assert threading.active_count() == before
 
     def test_thread_count_does_not_change_results(self):
         spec = small_spec(snr_points_db=(8.0,), trials_per_point=200_000, error_target=10**9)

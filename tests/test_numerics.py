@@ -4,97 +4,38 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from marc_pnc.numerics import (
-    ATOL,
-    CMatrix,
-    RngStream,
-    cmat_mul,
-    complex_gaussian,
-    conj_transpose,
-    det2,
-    qr_2x3,
-    sample_gaussian,
-)
+from marc_pnc.numerics import RngStream, complex_gaussian, qr_2x3
+
+ATOL = 1e-10
 
 
-def random_cmatrix(gen, rows, cols, scale=1.0):
-    vals = (gen.standard_normal(rows * cols) + 1j * gen.standard_normal(rows * cols)) * scale
-    return CMatrix(rows, cols, tuple(complex(v) for v in vals))
-
-
-class TestCMatrix:
-    def test_identity_product(self):
-        i2 = CMatrix.identity(2)
-        assert cmat_mul(i2, i2).data == i2.data
-
-    def test_swap_matrix_is_involution(self):
-        swap = CMatrix.from_rows([[0, 1], [1, 0]])
-        assert cmat_mul(swap, swap).data == CMatrix.identity(2).data
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="multiply"):
-            cmat_mul(CMatrix.identity(2), CMatrix.zeros(3, 2))
-
-    def test_non_finite_entries_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            CMatrix.from_rows([[complex(math.nan, 0.0)]])
-
-    def test_shape_bounds(self):
-        with pytest.raises(ValueError):
-            CMatrix.zeros(4, 1)
-
-
-class TestConjTranspose:
-    def test_real_symmetric_fixed_point(self):
-        a = CMatrix.from_rows([[1, 2], [2, 5]])
-        assert conj_transpose(a).data == a.data
-
-    def test_scalar_conjugate(self):
-        a = CMatrix.from_rows([[1j]])
-        assert conj_transpose(a).data == (-1j,)
-
-    def test_involution_on_random_matrices(self):
-        gen = np.random.default_rng(42)
-        for rows in (1, 2, 3):
-            for cols in (1, 2, 3):
-                a = random_cmatrix(gen, rows, cols)
-                assert conj_transpose(conj_transpose(a)).data == a.data
-
-
-class TestDet2:
-    def test_identity(self):
-        assert det2(CMatrix.identity(2)) == 1.0 + 0.0j
-
-    def test_scaled_triangular_pair(self):
-        # rows (delta, 0) and (delta/sqrt2, delta/sqrt2) with delta = 2
-        d = 2.0
-        a = CMatrix.from_rows([[d, 0.0], [d / math.sqrt(2), d / math.sqrt(2)]])
-        assert det2(a) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
-
-    def test_singular(self):
-        assert det2(CMatrix.from_rows([[1, 1], [1, 1]])) == 0.0
-
-    def test_wrong_shape(self):
-        with pytest.raises(ValueError, match="2x2"):
-            det2(CMatrix.zeros(2, 3))
-
-    def test_multiplicative_on_random_pairs(self):
-        gen = np.random.default_rng(7)
-        for _ in range(200):
-            a = random_cmatrix(gen, 2, 2)
-            b = random_cmatrix(gen, 2, 2)
-            lhs = det2(cmat_mul(a, b))
-            rhs = det2(a) * det2(b)
-            scale = max(1.0, abs(lhs), abs(rhs))
-            assert abs(lhs - rhs) / scale < ATOL
+def factor(h):
+    """q and r for each 2x3 matrix of ``h``, with q recovered from q* by
+    rotating the two unit vectors."""
+    h = np.asarray(h, dtype=np.complex128).reshape(-1, 2, 3)
+    assert np.all(h[:, 0, 2] == 0), "the scheme's equivalent channel has h13 = 0"
+    entries = (h[:, 0, 0], h[:, 1, 0], h[:, 0, 1], h[:, 1, 1], h[:, 1, 2])
+    one = np.ones(len(h), dtype=np.complex128)
+    zero = np.zeros(len(h), dtype=np.complex128)
+    e1 = qr_2x3(*entries, one, zero)
+    e2 = qr_2x3(*entries, zero, one)
+    qstar = np.stack([np.stack([e1.yt1, e2.yt1], -1), np.stack([e1.yt2, e2.yt2], -1)], -2)
+    r = np.stack([np.stack([e1.r11, e1.r12, e1.r13], -1), np.stack([e1.r21, e1.r22, e1.r23], -1)], -2)
+    return np.conj(np.swapaxes(qstar, -1, -2)), r
 
 
 def reconstruction_error(h, q, r):
-    return cmat_mul(q, r).sub(h).inf_norm()
+    return float(np.abs(q @ r - np.asarray(h).reshape(-1, 2, 3)).max())
 
 
 def unitarity_error(q):
-    return cmat_mul(conj_transpose(q), q).sub(CMatrix.identity(2)).inf_norm()
+    return float(np.abs(np.conj(np.swapaxes(q, -1, -2)) @ q - np.eye(2)).max())
+
+
+def random_channels(gen, n):
+    h = gen.standard_normal((n, 2, 3)) + 1j * gen.standard_normal((n, 2, 3))
+    h[:, 0, 2] = 0.0
+    return h
 
 
 class TestQr2x3:
@@ -102,79 +43,72 @@ class TestQr2x3:
         # First column already (1, 0): no rotation needed, so Q = I, R = H,
         # and the top-right entry is exactly zero.
         inv = 1.0 / math.sqrt(2.0)
-        h = CMatrix.from_rows([[1.0, inv, 0.0], [0.0, inv, 1.0]])
-        q, r = qr_2x3(h)
-        assert q.sub(CMatrix.identity(2)).inf_norm() < ATOL
-        assert r.sub(h).inf_norm() < ATOL
-        assert r.at(0, 2) == 0.0
+        h = [[1.0, inv, 0.0], [0.0, inv, 1.0]]
+        q, r = factor(h)
+        assert np.abs(q - np.eye(2)).max() < ATOL
+        assert np.abs(r - np.asarray(h)).max() < ATOL
+        assert r[0, 0, 2] == 0.0
 
     def test_orthonormal_rows_input(self):
         inv = 1.0 / math.sqrt(2.0)
-        h = CMatrix.from_rows([[inv, inv, 0.0], [inv * 1j, -inv * 1j, 0.0]])
-        q, r = qr_2x3(h)
-        assert r.at(1, 0) == 0.0
+        h = [[inv, inv, 0.0], [inv * 1j, -inv * 1j, 0.0]]
+        q, r = factor(h)
+        assert r[0, 1, 0] == 0.0
         assert reconstruction_error(h, q, r) < ATOL
 
     def test_random_reconstruction_and_unitarity(self):
-        gen = np.random.default_rng(2)
-        worst_recon = 0.0
-        worst_unit = 0.0
-        for _ in range(100_000):
-            h = random_cmatrix(gen, 2, 3)
-            q, r = qr_2x3(h)
-            worst_recon = max(worst_recon, reconstruction_error(h, q, r))
-            worst_unit = max(worst_unit, unitarity_error(q))
-            assert r.at(1, 0) == 0.0
-            assert r.at(0, 0).imag == 0.0 and r.at(0, 0).real >= 0.0
-            assert r.at(1, 1).imag == 0.0 and r.at(1, 1).real >= 0.0
-        assert worst_recon < ATOL
-        assert worst_unit < ATOL
+        h = random_channels(np.random.default_rng(2), 100_000)
+        q, r = factor(h)
+        assert np.all(r[:, 1, 0] == 0.0)
+        assert np.all(r[:, 0, 0].imag == 0.0) and np.all(r[:, 0, 0].real >= 0.0)
+        assert np.all(r[:, 1, 1].imag == 0.0) and np.all(r[:, 1, 1].real >= 0.0)
+        assert reconstruction_error(h, q, r) < ATOL
+        assert unitarity_error(q) < ATOL
 
     def test_zero_first_column_does_not_crash(self):
-        h = CMatrix.from_rows([[0.0, 1.0 + 1j, 2.0], [0.0, 3.0, 1j]])
-        q, r = qr_2x3(h)
-        assert r.at(0, 0) == 0.0
-        assert r.at(1, 0) == 0.0
+        h = [[0.0, 1.0 + 1j, 0.0], [0.0, 3.0, 1j]]
+        q, r = factor(h)
+        assert r[0, 0, 0] == 0.0
+        assert r[0, 1, 0] == 0.0
         assert reconstruction_error(h, q, r) < ATOL
         assert unitarity_error(q) < ATOL
 
     def test_zero_top_left_entry(self):
-        h = CMatrix.from_rows([[0.0, 1.0, 2.0], [2j, 3.0, 1.0]])
-        q, r = qr_2x3(h)
+        h = [[0.0, 1.0, 0.0], [2j, 3.0, 1.0]]
+        q, r = factor(h)
         assert reconstruction_error(h, q, r) < ATOL
-        assert r.at(0, 0) == pytest.approx(2.0)
+        assert r[0, 0, 0] == pytest.approx(2.0)
 
     def test_r13_vanishes_under_orthogonality_condition(self):
         # Channels built with c = 0 put an exact zero in position (2, 1),
-        # which must propagate to an exact zero at (1, 3).
+        # which must propagate to a vanishing (1, 3) entry.
         gen = np.random.default_rng(3)
-        for _ in range(2000):
-            h_ad, h_bd, h_rd = (complex(*gen.standard_normal(2)) for _ in range(3))
-            inv = 1.0 / math.sqrt(2.0)
-            h = CMatrix.from_rows([[h_ad, inv * h_bd, 0.0], [0.0, inv * h_bd, h_rd]])
-            q, r = qr_2x3(h)
-            assert abs(r.at(0, 2)) < 1e-10
+        inv = 1.0 / math.sqrt(2.0)
+        h_ad, h_bd, h_rd = (gen.standard_normal(2000) + 1j * gen.standard_normal(2000) for _ in range(3))
+        zero = np.zeros(2000, dtype=np.complex128)
+        qr = qr_2x3(h_ad, zero, inv * h_bd, inv * h_bd, h_rd, zero, zero)
+        assert np.abs(qr.r13).max() < 1e-10
 
 
 class TestGaussianSampling:
     def test_rejects_bad_variance(self):
         rng = RngStream(1, 0)
         with pytest.raises(ValueError):
-            sample_gaussian(rng, 0.0)
+            rng.gaussian(0.0)
         with pytest.raises(ValueError):
-            sample_gaussian(rng, -1.0)
+            rng.gaussian(-1.0)
 
     def test_determinism_same_key(self):
         a = RngStream(1234, 5)
         b = RngStream(1234, 5)
-        seq_a = [sample_gaussian(a, 1.0) for _ in range(64)]
-        seq_b = [sample_gaussian(b, 1.0) for _ in range(64)]
+        seq_a = [a.gaussian(1.0) for _ in range(64)]
+        seq_b = [b.gaussian(1.0) for _ in range(64)]
         assert seq_a == seq_b
 
     def test_distinct_streams_differ(self):
         a = RngStream(1234, 5)
         b = RngStream(1234, 6)
-        assert [sample_gaussian(a, 1.0) for _ in range(8)] != [sample_gaussian(b, 1.0) for _ in range(8)]
+        assert [a.gaussian(1.0) for _ in range(8)] != [b.gaussian(1.0) for _ in range(8)]
 
     def test_scalar_and_batched_draws_share_the_stream(self):
         a = RngStream(99, 1)

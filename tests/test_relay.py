@@ -4,7 +4,7 @@ import numpy as np
 
 from marc_pnc.channel import ChannelRealization
 from marc_pnc.netmap import apply_map, modulo_latin, xor_latin
-from marc_pnc.relay import RelayDecision, relay_decide, relay_forward, relay_ml_decode
+from marc_pnc.relay import relay_forward, relay_ml_decode
 from marc_pnc.scheme import example1_constants
 from marc_pnc.signalset import make_psk
 
@@ -95,6 +95,5 @@ class TestRelayForward:
         f = modulo_latin(4)
         for _ in range(50):
             y_r, h, _, _ = random_frame(gen, k, s)
-            dec = relay_decide(y_r, h, k, s, f)
-            assert isinstance(dec, RelayDecision)
-            assert dec.x_r == apply_map(f, s, dec.xa_idx, dec.xb_idx)
+            dec = relay_ml_decode(y_r, h, k, s)
+            assert relay_forward(dec, f, s) == apply_map(f, s, *dec)

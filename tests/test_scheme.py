@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from marc_pnc.numerics import det2
 from marc_pnc.scheme import (
     SchemeConstants,
     check_full_rank_condition,
@@ -17,6 +16,10 @@ from marc_pnc.scheme import (
 from marc_pnc.signalset import difference_set, make_psk
 
 INV = 1.0 / math.sqrt(2.0)
+
+
+def det(m) -> complex:
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 def random_constants(gen, es=1.0) -> SchemeConstants:
@@ -47,21 +50,18 @@ class TestConstants:
         with pytest.raises(ValueError, match="es"):
             example1_constants(0.0)
 
-    def test_with_es(self):
-        assert example1_constants(1.0).with_es(50.0).es == 50.0
-
 
 class TestCodewordMatrix:
     def test_example_constants_unit_symbols(self):
         k = example1_constants(1.0)
         c = codeword_matrix(k, 1.0, 1.0, 1.0)
-        assert c.row(0) == (1.0 + 0j, 0j)
-        assert c.row(1) == (INV + 0j, INV + 0j)
-        assert c.row(2) == (0j, 1.0 + 0j)
+        assert tuple(c[0]) == (1.0 + 0j, 0j)
+        assert tuple(c[1]) == (INV + 0j, INV + 0j)
+        assert tuple(c[2]) == (0j, 1.0 + 0j)
 
     def test_zero_symbols(self):
         k = example1_constants(1.0)
-        assert all(v == 0 for v in codeword_matrix(k, 0, 0, 0).data)
+        assert not codeword_matrix(k, 0, 0, 0).any()
 
     def test_first_row_structure(self):
         gen = np.random.default_rng(1)
@@ -69,26 +69,26 @@ class TestCodewordMatrix:
             k = random_constants(gen)
             xa = complex(*gen.standard_normal(2))
             c = codeword_matrix(k, xa, 1j, -1.0)
-            assert c.at(0, 0) == k.a * xa
-            assert c.at(0, 1) == k.c * xa
+            assert c[0, 0] == k.a * xa
+            assert c[0, 1] == k.c * xa
 
 
 class TestRestrictedDiffMatrix:
     def test_example1_determinant(self):
         k = example1_constants(1.0)
-        d = det2(restricted_diff_matrix(k, 1 + 1j, 2.0))
+        d = det(restricted_diff_matrix(k, 1 + 1j, 2.0))
         assert d == pytest.approx(math.sqrt(2) * (1 + 1j), abs=1e-12)
 
     def test_zero_difference_rank_deficient(self):
         k = example1_constants(1.0)
-        assert det2(restricted_diff_matrix(k, 0.0, 2 + 1j)) == 0.0
+        assert det(restricted_diff_matrix(k, 0.0, 2 + 1j)) == 0.0
 
     def test_proportional_rows_give_zero_det(self):
         k = SchemeConstants(a=INV, b=INV, c=INV, d=INV, es=1.0)
         gen = np.random.default_rng(2)
         for _ in range(20):
             da, db = (complex(*gen.standard_normal(2)) for _ in range(2))
-            assert abs(det2(restricted_diff_matrix(k, da, db))) < 1e-12
+            assert abs(det(restricted_diff_matrix(k, da, db))) < 1e-12
 
     def test_det_factorisation_identity(self):
         # det = (ad - cb) * da * db for any constants and differences
@@ -96,7 +96,7 @@ class TestRestrictedDiffMatrix:
         for _ in range(100):
             k = random_constants(gen)
             da, db = (complex(*gen.standard_normal(2)) for _ in range(2))
-            got = det2(restricted_diff_matrix(k, da, db))
+            got = det(restricted_diff_matrix(k, da, db))
             want = (k.a * k.d - k.c * k.b) * da * db
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
@@ -131,16 +131,17 @@ class TestFullRankCondition:
 class TestWeightMatrices:
     def test_example1_shapes_and_values(self):
         wm = weight_matrices(example1_constants(1.0))
-        assert wm.wa.row(0) == (1.0 + 0j, 0j)
-        assert wm.wa.row(1) == (0j, 0j)
-        assert wm.wb.row(1) == (INV + 0j, INV + 0j)
-        assert wm.wr.row(2) == (0j, 1.0 + 0j)
+        assert wm.wa.shape == wm.wb.shape == wm.wr.shape == (3, 2)
+        assert tuple(wm.wa[0]) == (1.0 + 0j, 0j)
+        assert tuple(wm.wa[1]) == (0j, 0j)
+        assert tuple(wm.wb[1]) == (INV + 0j, INV + 0j)
+        assert tuple(wm.wr[2]) == (0j, 1.0 + 0j)
 
     def test_relay_weights_constant(self):
         gen = np.random.default_rng(5)
         fixed = weight_matrices(example1_constants(1.0)).wr
         for _ in range(10):
-            assert weight_matrices(random_constants(gen)).wr.data == fixed.data
+            assert np.array_equal(weight_matrices(random_constants(gen)).wr, fixed)
 
 
 class TestHrOrthogonality:
@@ -149,12 +150,10 @@ class TestHrOrthogonality:
         assert check_hr_orthogonal(wm.wa, wm.wr)
 
     def test_example1_wa_times_wr_star_is_zero(self):
-        from marc_pnc.numerics import cmat_mul, conj_transpose
-
         wm = weight_matrices(example1_constants(1.0))
-        prod = cmat_mul(wm.wa, conj_transpose(wm.wr))
-        assert (prod.rows, prod.cols) == (3, 3)
-        assert prod.inf_norm() == 0.0
+        prod = wm.wa @ wm.wr.conj().T
+        assert prod.shape == (3, 3)
+        assert np.abs(prod).max() == 0.0
 
     def test_example1_wb_wr_fails(self):
         # product leaves 1/sqrt(2) at entry (2, 3) of the symmetrised sum

@@ -1,9 +1,8 @@
 import cmath
-import itertools
 
 import pytest
 
-from marc_pnc.signalset import SignalSet, difference_set, make_psk, map_bits
+from marc_pnc.signalset import SignalSet, difference_set, make_psk
 
 
 class TestMakePsk:
@@ -41,28 +40,6 @@ class TestMakePsk:
             SignalSet(points=(2.0 + 0j, -2.0 + 0j), bits_per_symbol=1)
         with pytest.raises(ValueError, match="distinct"):
             SignalSet(points=(1.0 + 0j, 1.0 + 0j), bits_per_symbol=1)
-
-
-class TestMapBits:
-    def test_index_zero(self):
-        assert map_bits(make_psk(4), (0, 0)) == pytest.approx(1.0)
-
-    def test_index_one(self):
-        assert map_bits(make_psk(4), (0, 1)) == pytest.approx(1j)
-
-    def test_bijective_on_8psk(self):
-        s = make_psk(8)
-        images = {map_bits(s, bits) for bits in itertools.product((0, 1), repeat=3)}
-        assert len(images) == 8
-        assert images == set(s.points)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="bits"):
-            map_bits(make_psk(4), (0, 1, 0))
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValueError):
-            map_bits(make_psk(4), (0, 2))
 
 
 class TestDifferenceSet:
