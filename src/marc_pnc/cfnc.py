@@ -77,9 +77,8 @@ def cfnc_destination_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, c
     resolve to the smallest (index_a, index_b); the branch is always the
     trust-the-relay hypothesis since the baseline has no other.
     """
-    return joint_min_distance(
-        y1, y2, h_ad, h_bd, h_rd, k, pts, lambda ia, ib: cfg.power_norm * (pts[ia] + cfg.theta * pts[ib]), counter
-    )
+    combined = cfg.power_norm * (pts[:, None] + cfg.theta * pts[None, :])
+    return joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k, pts, combined, counter)
 
 
 def cfnc_run_frame(

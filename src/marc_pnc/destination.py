@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmap import LatinSquare
-from .numerics import qr_2x3, sqmag
+from .numerics import first_pair_min, qr_2x3, sqdist, symbol_terms
 from .scheme import SchemeConstants, check_hr_orthogonal, weight_matrices
 from .signalset import SignalSet
 
@@ -268,7 +268,9 @@ def phi_metrics(
 # ---------------------------------------------------------------------------
 # Batch decoders.  Arguments are arrays with one entry per frame, then the
 # constants, the constellation points and the relay-map cells; each decoder
-# returns (index_a, index_b, relay_correct_branch) arrays.
+# returns (index_a, index_b, relay_correct_branch) arrays.  Per-candidate
+# terms and metrics are candidate-major, (M, n), so every candidate's vector
+# is contiguous.
 
 
 def role_swap(k: SchemeConstants) -> bool:
@@ -311,8 +313,8 @@ def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counte
     ln_es = math.log(k.es)
     m = len(pts)
     n = len(y1)
-    t11 = (qr.r11 * root)[:, None] * pts[None, :]
-    t23 = (qr.r23 * root)[:, None] * pts[None, :]
+    t11 = symbol_terms(qr.r11 * root, pts)
+    t23 = symbol_terms(qr.r23 * root, pts)
 
     best_m = np.full(n, np.inf)
     best_first = np.zeros(n, dtype=np.int64)
@@ -321,14 +323,14 @@ def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counte
     for jb in range(m):
         c1 = qr.yt1 - qr.r12 * (root * pts[jb])
         c2 = qr.yt2 - qr.r22 * (root * pts[jb])
-        phi1 = sqmag(c1[:, None] - t11)
-        phi3 = sqmag(c2[:, None] - t23)
-        min1 = phi1.min(axis=1)
-        a2 = phi1.argmin(axis=1)
-        min3 = phi3.min(axis=1)
-        comb = phi1 + phi3[:, cells[:, jb]]
-        b1 = comb.min(axis=1)
-        a1 = comb.argmin(axis=1)
+        phi1 = sqdist(c1, t11)
+        phi3 = sqdist(c2, t23)
+        min1 = phi1.min(axis=0)
+        a2 = phi1.argmin(axis=0)
+        min3 = phi3.min(axis=0)
+        comb = phi1 + phi3[cells[:, jb]]
+        b1 = comb.min(axis=0)
+        a1 = comb.argmin(axis=0)
         b2_pen = min1 + min3 + ln_es
 
         correct = b1 < b2_pen
@@ -347,73 +349,64 @@ def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counte
 
 
 def _source_terms(h_ad, h_bd, k: SchemeConstants, pts):
-    """Per-frame, per-symbol source terms of both phases: (n, M) arrays."""
+    """Per-symbol, per-frame source terms of both phases: (M, n) arrays."""
     root = math.sqrt(k.es)
     return (
-        (h_ad * (root * k.a))[:, None] * pts[None, :],
-        (h_bd * (root * k.b))[:, None] * pts[None, :],
-        (h_ad * (root * k.c))[:, None] * pts[None, :],
-        (h_bd * (root * k.d))[:, None] * pts[None, :],
+        symbol_terms(h_ad * (root * k.a), pts),
+        symbol_terms(h_bd * (root * k.b), pts),
+        symbol_terms(h_ad * (root * k.c), pts),
+        symbol_terms(h_bd * (root * k.d), pts),
     )
 
 
 def novel_decode_exhaustive_batch(
     y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counter: EvalCounter | None = None
 ):
-    """``novel_decode_exhaustive`` on a batch of frames (O(M^3) work)."""
+    """``novel_decode_exhaustive`` on a batch of frames (O(M^3) work).
+
+    m3 = min(m1, m2) is computed as p1 + (phase-2 residual minimised over
+    every relay symbol), which is exact because adding p1 is monotone.
+    """
     _require_unit_snr(k)
     ln_es = math.log(k.es)
     m = len(pts)
     n = len(y1)
     a1t, b1t, a2t, b2t = _source_terms(h_ad, h_bd, k, pts)
-    r2t = (h_rd * math.sqrt(k.es))[:, None] * pts[None, :]
+    r2t = symbol_terms(h_rd * math.sqrt(k.es), pts)
+    every_b = np.arange(m)
 
-    best1 = np.full((n, m), np.inf)
-    arg1 = np.zeros((n, m), dtype=np.int64)
-    best3 = np.full((n, m), np.inf)
-    arg3 = np.zeros((n, m), dtype=np.int64)
+    # Rows are x_B; x_A is scanned ascending with strict improvements.
+    best1 = np.full((m, n), np.inf)
+    arg1 = np.zeros((m, n), dtype=np.int64)
+    best3 = np.full((m, n), np.inf)
+    arg3 = np.zeros((m, n), dtype=np.int64)
     for ia in range(m):
-        for ib in range(m):
-            p1 = sqmag(y1 - a1t[:, ia] - b1t[:, ib])
-            base2 = y2 - a2t[:, ia] - b2t[:, ib]
-            p2 = sqmag(base2[:, None] - r2t)
-            fidx = cells[ia, ib]
-            m1 = p1 + p2[:, fidx]
-            p2_other = p2.copy()
-            p2_other[:, fidx] = np.inf
-            m2 = p1 + p2_other.min(axis=1)
-            m3 = np.minimum(m1, m2)
-            upd1 = m1 < best1[:, ib]
-            best1[:, ib] = np.where(upd1, m1, best1[:, ib])
-            arg1[:, ib] = np.where(upd1, ia, arg1[:, ib])
-            upd3 = m3 < best3[:, ib]
-            best3[:, ib] = np.where(upd3, m3, best3[:, ib])
-            arg3[:, ib] = np.where(upd3, ia, arg3[:, ib])
+        p1 = sqdist(y1 - a1t[ia], b1t)
+        p2 = sqdist((y2 - a2t[ia] - b2t)[:, None, :], r2t)
+        m1 = p1 + p2[every_b, cells[ia]]
+        m3 = p1 + p2.min(axis=1)
+        upd1 = m1 < best1
+        best1 = np.where(upd1, m1, best1)
+        arg1 = np.where(upd1, ia, arg1)
+        upd3 = m3 < best3
+        best3 = np.where(upd3, m3, best3)
+        arg3 = np.where(upd3, ia, arg3)
     if counter is not None:
         counter.add(m * m * m * n)
 
-    best_m = np.full(n, np.inf)
-    best_a = np.zeros(n, dtype=np.int64)
-    best_b = np.zeros(n, dtype=np.int64)
-    best_correct = np.zeros(n, dtype=bool)
-    for ib in range(m):
-        pen = best3[:, ib] + ln_es
-        correct = best1[:, ib] < pen
-        mj = np.where(correct, best1[:, ib], pen)
-        aj = np.where(correct, arg1[:, ib], arg3[:, ib])
-        upd = mj < best_m
-        best_m = np.where(upd, mj, best_m)
-        best_a = np.where(upd, aj, best_a)
-        best_b = np.where(upd, ib, best_b)
-        best_correct = np.where(upd, correct, best_correct)
-    return best_a, best_b, best_correct
+    pen = best3 + ln_es
+    correct = best1 < pen
+    mj = np.where(correct, best1, pen)
+    jb = mj.argmin(axis=0)  # first x_B attaining the minimum, as an ascending scan keeps
+    frames = np.arange(n)
+    return np.where(correct, arg1, arg3)[jb, frames], jb, correct[jb, frames]
 
 
 def joint_min_distance(
-    y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, relay_point, counter: EvalCounter | None = None
+    y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, relay_points, counter: EvalCounter | None = None
 ):
     """Joint two-phase minimum-distance search over all M^2 pairs, each
-    hypothesis assuming the relay sent ``relay_point(index_a, index_b)``.
+    hypothesis assuming the relay sent ``relay_points[index_a, index_b]``.
 
     Pair ties resolve to the smallest (index_a, index_b) lexicographically;
     every frame reports the trust-the-relay branch.
@@ -422,17 +415,9 @@ def joint_min_distance(
     n = len(y1)
     a1t, b1t, a2t, b2t = _source_terms(h_ad, h_bd, k, pts)
     gr = h_rd * math.sqrt(k.es)
-
-    best = np.full(n, np.inf)
-    best_a = np.zeros(n, dtype=np.int64)
-    best_b = np.zeros(n, dtype=np.int64)
-    for ia in range(m):
-        for ib in range(m):
-            v = sqmag(y1 - a1t[:, ia] - b1t[:, ib]) + sqmag(y2 - a2t[:, ia] - b2t[:, ib] - gr * relay_point(ia, ib))
-            upd = v < best
-            best = np.where(upd, v, best)
-            best_a = np.where(upd, ia, best_a)
-            best_b = np.where(upd, ib, best_b)
+    best_a, best_b = first_pair_min(
+        sqdist(y1 - a1t[ia], b1t) + sqdist(y2 - a2t[ia] - b2t, symbol_terms(gr, relay_points[ia])) for ia in range(m)
+    )
     if counter is not None:
         counter.add(m * m * n)
     return best_a, best_b, np.ones(n, dtype=bool)
@@ -443,7 +428,7 @@ def min_euclidean_decode(
 ):
     """Joint minimum-distance decoding that assumes the relay forwarded the
     network-coded symbol of each hypothesised pair."""
-    return joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k, pts, lambda ia, ib: pts[cells[ia, ib]], counter)
+    return joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k, pts, pts[cells], counter)
 
 
 def decode_frame(decoder, inp: DecodeInput, relay=None, counter: EvalCounter | None = None) -> DecodeOutput:

@@ -7,6 +7,14 @@ therefore byte-identical for a given spec and seed no matter how many
 worker threads run the batches, and a point stops early (only at round
 boundaries) once enough errors have accumulated.
 
+Within a batch, the draws are made for the whole batch at once, so the
+stream is consumed the same way whatever happens next.  Phase 1, relay
+detection, phase 2, decoding and counting (``transmit`` and the decoders)
+then run over fixed sub-chunks of CHUNK_SIZE frames, whose integer
+counters are summed; this keeps the kernels' per-candidate temporaries in
+cache.  Every kernel is per-frame independent, so results do not depend on
+the chunk size.
+
 ``run_frame`` sends one frame through the same destination decoders (as a
 batch of one) after the scalar reference relay; tests use it to audit the
 engine.  ``equivalence_battery`` holds the fast decoder against the scalar
@@ -26,6 +34,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +76,11 @@ DECODERS = ("min-euclid", "novel-exhaustive", "fast", "cfnc")
 #: can never depend on machine or thread count.
 BATCH_SIZE = 1 << 15
 ROUND_WIDTH = 4
+#: Frames per pipeline sub-chunk of a batch.  Sized by working set: a
+#: kernel's (M, CHUNK_SIZE) float64 temporaries stay in a core's L2 cache
+#: (512 KB at M = 16).  Not scaled down with M: smaller chunks only add
+#: Python overhead.  Results do not depend on it.
+CHUNK_SIZE = 1 << 12
 
 THREADS_ENV_VAR = "MARC_PNC_THREADS"
 
@@ -97,6 +111,9 @@ class SweepSpec:
         pts = tuple(float(p) for p in self.snr_points_db)
         if not pts:
             raise ValueError("snr_points_db must not be empty")
+        bad = [p for p in pts if not math.isfinite(p)]
+        if bad:
+            raise ValueError(f"snr_points_db must be finite, got {bad[0]}")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("snr_points_db must be strictly ascending")
         if self.map_kind not in MAP_KINDS:
@@ -290,6 +307,10 @@ class BatchDraws:
         )
         return int(self.ia[i]), int(self.ib[i]), h, complex(self.z_r[i]), complex(self.z_d1[i]), complex(self.z_d2[i])
 
+    def chunk(self, start: int, stop: int) -> "BatchDraws":
+        """Frames start..stop-1, as views."""
+        return BatchDraws(*(getattr(self, f.name)[start:stop] for f in dataclasses.fields(self)))
+
 
 def draw_batch(gen: np.random.Generator, profile: FadingProfile, m: int, n: int) -> BatchDraws:
     return BatchDraws(
@@ -306,52 +327,77 @@ def draw_batch(gen: np.random.Generator, profile: FadingProfile, m: int, n: int)
     )
 
 
-def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index: int, n: int) -> _Counts:
-    """Simulate one batch of frames and return its integer counters."""
-    gen = np.random.Generator(philox_bits(spec.seed, _stream_id(point_index, batch_index)))
-    k = spec.constants_at(snr_db)
-    pts = np.asarray(spec.signal_set().points, dtype=np.complex128)
-    cells = np.asarray(spec.relay_map().cells, dtype=np.int64)
-    d = draw_batch(gen, spec.profile, spec.m, n)
-    root = math.sqrt(k.es)
+class Received(NamedTuple):
+    """What the relay and the destination receive for a run of frames, and
+    the relay's decision."""
 
+    y_r: np.ndarray
+    y_d1: np.ndarray
+    y_d2: np.ndarray
+    relay_a: np.ndarray
+    relay_b: np.ndarray
+    nc_wrong: np.ndarray
+
+
+def transmit(d: BatchDraws, k: SchemeConstants, pts, cells, cfg: CfncConfig | None = None) -> Received:
+    """Phase 1, relay ML detection, the relay's forwarding (the Latin-square
+    map, or cfnc combining when ``cfg`` is given) and phase 2."""
+    root = math.sqrt(k.es)
     xa = pts[d.ia]
     xb = pts[d.ib]
     y_r = d.h_ar * (root * k.a) * xa + d.h_br * (root * k.b) * xb + d.z_r
     y_d1 = d.h_ad * (root * k.a) * xa + d.h_bd * (root * k.b) * xb + d.z_d1
     ra, rb = relay_ml_decode_batch(y_r, d.h_ar, d.h_br, k, pts)
-
-    if spec.decoder == "cfnc":
-        cfg = spec.cfnc_config()
+    if cfg is not None:
         x_r = cfg.power_norm * (pts[ra] + cfg.theta * pts[rb])
         nc_wrong = (ra != d.ia) | (rb != d.ib)
     else:
         x_r = pts[cells[ra, rb]]
         nc_wrong = cells[ra, rb] != cells[d.ia, d.ib]
     y_d2 = d.h_ad * (root * k.c) * xa + d.h_bd * (root * k.d) * xb + d.h_rd * root * x_r + d.z_d2
+    return Received(y_r, y_d1, y_d2, ra, rb, nc_wrong)
 
-    frames = (y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
-    if spec.decoder == "fast":
-        da, db, _ = fast_decode(*frames, cells)
-    elif spec.decoder == "novel-exhaustive":
-        da, db, _ = novel_decode_exhaustive_batch(*frames, cells)
-    elif spec.decoder == "min-euclid":
-        da, db, _ = min_euclidean_decode(*frames, cells)
-    else:
-        da, db, _ = cfnc_destination_decode(*frames, cfg)
 
-    err_a = da != d.ia
-    err_b = db != d.ib
-    err = err_a | err_b
-    return _Counts(
-        trials=n,
-        errors=int(np.count_nonzero(err)),
-        errors_a=int(np.count_nonzero(err_a)),
-        errors_b=int(np.count_nonzero(err_b)),
-        relay_wrong=int(np.count_nonzero(nc_wrong)),
-        errors_relay_correct=int(np.count_nonzero(err & ~nc_wrong)),
-        errors_relay_wrong=int(np.count_nonzero(err & nc_wrong)),
-    )
+def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index: int, n: int) -> _Counts:
+    """Simulate one batch of frames and return its integer counters.
+
+    The batch is drawn whole; the rest of the pipeline runs CHUNK_SIZE
+    frames at a time.  Every stage is per-frame independent, so the
+    counters do not depend on the chunk size.
+    """
+    gen = np.random.Generator(philox_bits(spec.seed, _stream_id(point_index, batch_index)))
+    k = spec.constants_at(snr_db)
+    pts = np.asarray(spec.signal_set().points, dtype=np.complex128)
+    cells = np.asarray(spec.relay_map().cells, dtype=np.int64)
+    cfg = spec.cfnc_config() if spec.decoder == "cfnc" else None
+    draws = draw_batch(gen, spec.profile, spec.m, n)
+    counts = _Counts()
+    for start in range(0, n, CHUNK_SIZE):
+        d = draws.chunk(start, start + CHUNK_SIZE)
+        rx = transmit(d, k, pts, cells, cfg)
+        frames = (rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
+        if spec.decoder == "fast":
+            da, db, _ = fast_decode(*frames, cells)
+        elif spec.decoder == "novel-exhaustive":
+            da, db, _ = novel_decode_exhaustive_batch(*frames, cells)
+        elif spec.decoder == "min-euclid":
+            da, db, _ = min_euclidean_decode(*frames, cells)
+        else:
+            da, db, _ = cfnc_destination_decode(*frames, cfg)
+
+        err_a = da != d.ia
+        err_b = db != d.ib
+        err = err_a | err_b
+        counts += _Counts(
+            trials=len(d.ia),
+            errors=int(np.count_nonzero(err)),
+            errors_a=int(np.count_nonzero(err_a)),
+            errors_b=int(np.count_nonzero(err_b)),
+            relay_wrong=int(np.count_nonzero(rx.nc_wrong)),
+            errors_relay_correct=int(np.count_nonzero(err & ~rx.nc_wrong)),
+            errors_relay_wrong=int(np.count_nonzero(err & rx.nc_wrong)),
+        )
+    return counts
 
 
 def _stream_id(point_index: int, batch_index: int) -> int:

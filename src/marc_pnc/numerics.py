@@ -1,9 +1,14 @@
-"""The 2x3 QR decomposition and reproducible Gaussian sampling.
+"""The 2x3 QR decomposition, the batch kernels' shared helpers, and
+reproducible Gaussian sampling.
 
 The QR of the equivalent channel runs on whole batches of frames: every
 argument is an array with one entry per frame.  Its structural zeros (r21
 always, r13 under the orthogonality condition checked in
 :mod:`marc_pnc.scheme`) carry the whole fast-decoder argument.
+
+The relay and destination kernels lay per-candidate terms out
+candidate-major (``symbol_terms``), score them with ``sqdist`` and pick
+lexicographic first minima with ``first_pair_min``.
 
 Randomness is counter-based: a ``RngStream`` is fully determined by a
 ``(seed, stream)`` pair of integers, so concurrent workers can draw from
@@ -21,6 +26,43 @@ import numpy as np
 def sqmag(z: np.ndarray) -> np.ndarray:
     """Elementwise squared magnitude |z|^2."""
     return z.real**2 + z.imag**2
+
+
+def symbol_terms(gain: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Candidate-major products ``gain * pts``, shape (M, n): row j holds
+    symbol j's term for every frame, so each candidate's vector is
+    contiguous."""
+    return gain[None, :] * pts[:, None]
+
+
+def sqdist(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Elementwise ``sqmag(z - t)``, broadcasting, worked on the real and
+    imaginary planes so that no complex temporary is built.  The operations
+    are the same, so the result is bit-identical."""
+    re = np.subtract(z.real, t.real)
+    re *= re
+    im = np.subtract(z.imag, t.imag)
+    im *= im
+    re += im
+    return re
+
+
+def first_pair_min(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Per frame, the first pair (i, j) in lexicographic order that
+    minimises a metric.  ``blocks`` yields, for i = 0, 1, ..., the (J, n)
+    metric of every (i, j); a later pair wins only by a strict improvement,
+    so ties keep the earlier one."""
+    for i, v in enumerate(blocks):
+        vmin = v.min(axis=0)
+        vj = v.argmin(axis=0)
+        if i == 0:
+            best, best_i, best_j = vmin, np.zeros_like(vj), vj
+            continue
+        upd = vmin < best
+        best = np.where(upd, vmin, best)
+        best_i = np.where(upd, i, best_i)
+        best_j = np.where(upd, vj, best_j)
+    return best_i, best_j
 
 
 class QrRotation(NamedTuple):

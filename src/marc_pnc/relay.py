@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .netmap import LatinSquare, apply_map
-from .numerics import sqmag
+from .numerics import first_pair_min, sqdist, symbol_terms
 from .scheme import SchemeConstants
 from .signalset import SignalSet
 
@@ -56,15 +56,13 @@ def relay_ml_decode_batch(
     k: SchemeConstants,
     pts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``relay_ml_decode`` on a batch of frames.  The argmin over the
-    row-major (index_a, index_b) grid keeps the same lexicographic
-    tie-break."""
+    """``relay_ml_decode`` on a batch of frames.  Each x_A hypothesis
+    scores every x_B at once, in candidate-major (M, n) rows, and the
+    lexicographic scan keeps the scalar tie-break."""
     root = math.sqrt(k.es)
-    ta = (h_ar * (root * k.a))[:, None] * pts[None, :]
-    tb = (h_br * (root * k.b))[:, None] * pts[None, :]
-    resid = sqmag(y_r[:, None, None] - ta[:, :, None] - tb[:, None, :])
-    idx = np.argmin(resid.reshape(resid.shape[0], -1), axis=1)
-    return idx // len(pts), idx % len(pts)
+    ta = symbol_terms(h_ar * (root * k.a), pts)
+    tb = symbol_terms(h_br * (root * k.b), pts)
+    return first_pair_min(sqdist(y_r - ta[ia], tb) for ia in range(len(pts)))
 
 
 def relay_forward(dec: tuple[int, int], f: LatinSquare, s: SignalSet) -> complex:

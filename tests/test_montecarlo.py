@@ -26,9 +26,10 @@ from marc_pnc.montecarlo import (
     draw_batch,
     run_frame,
     run_sweep,
+    transmit,
 )
 from marc_pnc.numerics import RngStream, philox_bits
-from marc_pnc.relay import relay_ml_decode, relay_ml_decode_batch
+from marc_pnc.relay import relay_ml_decode
 from marc_pnc.sweepio import curve_to_csv
 from test_cfnc import destination_oracle
 
@@ -46,6 +47,13 @@ def small_spec(**kw) -> SweepSpec:
 
 
 class TestSweepSpec:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_snr_points_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=f"finite.*{bad}"):
+            small_spec(snr_points_db=(10.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            small_spec(snr_points_db=(0.0, 10.0, bad), decoder="min-euclid")
+
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
             small_spec(snr_points_db=(10.0, 5.0))
@@ -127,24 +135,19 @@ class TestRunFrame:
 
 
 def check_batch_kernels_against_oracles(spec, snr_db, n):
-    """Draw and relay n frames as simulate_batch does, then hold each batch
-    kernel to an independent reference: scalar relay ML for the relay, the
-    scalar exhaustive rule for both aware decoders, a metric_m1 scan for
-    minimum distance and the grid oracle of test_cfnc for the baseline."""
+    """Draw n frames and relay them through the engine's own phase
+    arithmetic (``montecarlo.transmit``), then hold each batch kernel to an
+    independent reference: scalar relay ML for the relay, the scalar
+    exhaustive rule for both aware decoders, a metric_m1 scan for minimum
+    distance and the grid oracle of test_cfnc for the baseline."""
     s = spec.signal_set()
     f = spec.relay_map()
     pts = np.asarray(s.points)
     cells = np.asarray(f.cells)
     k = spec.constants_at(snr_db)
     cfg = spec.cfnc_config()
-    root = math.sqrt(k.es)
     d = draw_batch(np.random.Generator(philox_bits(123, 9)), EQUAL, spec.m, n)
-    xa, xb = pts[d.ia], pts[d.ib]
-    y_r = d.h_ar * (root * k.a) * xa + d.h_br * (root * k.b) * xb + d.z_r
-    y_d1 = d.h_ad * (root * k.a) * xa + d.h_bd * (root * k.b) * xb + d.z_d1
-    ra, rb = relay_ml_decode_batch(y_r, d.h_ar, d.h_br, k, pts)
-    x_r = pts[cells[ra, rb]]
-    y_d2 = d.h_ad * (root * k.c) * xa + d.h_bd * (root * k.d) * xb + d.h_rd * root * x_r + d.z_d2
+    y_r, y_d1, y_d2, ra, rb, _ = transmit(d, k, pts, cells)
 
     frames = (y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
     fast = np.stack(fast_decode(*frames, cells), axis=1).tolist()
@@ -169,7 +172,8 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
 class TestBatchKernels:
     @pytest.mark.parametrize(
         "snr_db,m,map_kind,n",
-        [(0.0, 4, "modulo", 700), (14.0, 4, "modulo", 700), (12.0, 8, "xor", 250)],
+        [(0.0, 4, "modulo", 700), (14.0, 4, "modulo", 700), (12.0, 8, "xor", 250), (0.0, 16, "xor", 40),
+         (24.0, 16, "xor", 40)],
     )
     def test_vectorised_decoders_match_scalar(self, snr_db, m, map_kind, n):
         # the default combining coefficient is an 8th root of unity and
@@ -181,6 +185,22 @@ class TestBatchKernels:
     def test_role_swapped_kernels_match_oracles(self, snr_db):
         spec = small_spec(m=8, map_kind="xor", constants=ROLE_SWAP_CONSTANTS, theta=cmath.exp(1j * math.pi / 8))
         check_batch_kernels_against_oracles(spec, snr_db, 250)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 16.0])
+    def test_role_swapped_kernels_match_oracles_m4(self, snr_db):
+        check_batch_kernels_against_oracles(small_spec(constants=ROLE_SWAP_CONSTANTS), snr_db, 500)
+
+
+class TestChunking:
+    @pytest.mark.parametrize("decoder", montecarlo.DECODERS)
+    def test_counters_do_not_depend_on_the_chunk_size(self, decoder, monkeypatch):
+        # low SNR, so every counter is far from zero
+        spec = small_spec(snr_points_db=(4.0,), decoder=decoder)
+        n = 2 * montecarlo.CHUNK_SIZE + 3
+        chunked = montecarlo.simulate_batch(spec, 4.0, 0, 5, n)
+        assert chunked.trials == n and chunked.relay_wrong > 0 and chunked.errors_relay_correct > 0
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", n)  # one unchunked kernel call per stage
+        assert montecarlo.simulate_batch(spec, 4.0, 0, 5, n) == chunked
 
 
 class TestRunSweep:
