@@ -145,7 +145,11 @@ def cmd_verify(_args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    report = equivalence_battery(frames_per_cell=args.frames_per_cell, seed=args.seed)
+    try:
+        report = equivalence_battery(frames_per_cell=args.frames_per_cell, seed=args.seed)
+    except ValueError as exc:
+        print(f"marc-pnc equiv: {exc}", file=sys.stderr)
+        return 2
     print(f"frames compared: {report.frames}")
     print(f"mismatches:      {report.mismatches}")
     if report.mismatches:

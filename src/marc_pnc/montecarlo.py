@@ -405,13 +405,20 @@ def _stream_id(point_index: int, batch_index: int) -> int:
 
 
 def thread_count(explicit: int | None = None) -> int:
+    """Worker threads: ``explicit`` (the ``--threads`` flag) if given, else
+    ``MARC_PNC_THREADS``, else 1.  A count below 1 is an error."""
     if explicit is not None:
-        return max(1, explicit)
+        if explicit < 1:
+            raise ValueError(f"threads (--threads) must be >= 1, got {explicit}")
+        return explicit
     raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
         raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
+    if count < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {raw!r}")
+    return count
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None, progress=None) -> SepCurve:
@@ -474,13 +481,32 @@ def equivalence_battery(
 
     Each (SNR, profile) cell gets its own stream; its frames are drawn and
     relayed one at a time, then the batch fast decoder decodes the whole
-    cell in one call and the scalar exhaustive reference checks each frame.  Half the frames replace
-    the relay's true decision with a uniformly random wrong network-coded
-    symbol so the relay-error branch is exercised at every SNR, not only
-    where relay errors occur naturally.
+    cell in one call and the scalar exhaustive reference checks each
+    frame.  A ``forced_error_fraction`` of the frames (half by default)
+    replace the relay's true decision with a uniformly random wrong
+    network-coded symbol, so the relay-error branch is exercised at every
+    SNR, not only where relay errors occur naturally.
+
+    Arguments that would compare no frames, name an unknown map, or give
+    frames the fast decoder does not admit (SNR below 0 dB, i.e. es < 1)
+    raise ``ValueError`` before anything is drawn.
     """
     if profiles is None:
         profiles = PROFILE_PRESETS
+    snr_points_db = tuple(snr_points_db)
+    if frames_per_cell < 1:
+        raise ValueError(f"frames_per_cell must be >= 1, got {frames_per_cell}")
+    if not snr_points_db:
+        raise ValueError("snr_points_db must not be empty")
+    if not profiles:
+        raise ValueError("profiles must not be empty")
+    bad = [db for db in snr_points_db if not (math.isfinite(db) and db >= 0.0)]
+    if bad:
+        raise ValueError(f"SNR points must be finite and >= 0 dB (the fast decoder needs es >= 1), got {bad[0]}")
+    if not 0.0 <= forced_error_fraction <= 1.0:
+        raise ValueError(f"forced_error_fraction must be in [0, 1], got {forced_error_fraction}")
+    if map_kind not in MAP_KINDS:
+        raise ValueError(f"map_kind must be one of {MAP_KINDS}, got {map_kind!r}")
     s = make_psk(m)
     f = modulo_latin(m) if map_kind == "modulo" else xor_latin(m)
     pts = np.asarray(s.points, dtype=np.complex128)

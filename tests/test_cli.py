@@ -21,6 +21,13 @@ class TestEquiv:
         out = capsys.readouterr().out
         assert "mismatches:      0" in out
 
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_no_frames_is_an_error(self, frames, capsys):
+        assert main(["equiv", "--frames-per-cell", frames]) == 2
+        captured = capsys.readouterr()
+        assert "frames_per_cell must be >= 1" in captured.err
+        assert "frames compared" not in captured.out
+
 
 class TestSweep:
     def test_end_to_end_with_config_and_overrides(self, tmp_path, capsys):

@@ -203,6 +203,37 @@ class TestChunking:
         assert montecarlo.simulate_batch(spec, 4.0, 0, 5, n) == chunked
 
 
+class TestEquivalenceBattery:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"frames_per_cell": 0}, "frames_per_cell"),
+            ({"frames_per_cell": -3}, "frames_per_cell"),
+            ({"snr_points_db": ()}, "snr_points_db"),
+            ({"profiles": {}}, "profiles"),
+            ({"snr_points_db": (10.0, -0.5)}, "-0.5"),
+            ({"snr_points_db": (math.nan,)}, "nan"),
+            ({"forced_error_fraction": -0.1}, "forced_error_fraction"),
+            ({"forced_error_fraction": 1.5}, "forced_error_fraction"),
+            ({"map_kind": "modulus"}, "map_kind"),
+        ],
+    )
+    def test_bad_arguments_fail_before_drawing(self, kwargs, message, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew frames")
+
+        monkeypatch.setattr(montecarlo, "RngStream", no_draws)
+        with pytest.raises(ValueError, match=message):
+            montecarlo.equivalence_battery(**kwargs)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_forced_error_fraction_endpoints_are_accepted(self, fraction):
+        report = montecarlo.equivalence_battery(
+            snr_points_db=(0.0,), frames_per_cell=30, forced_error_fraction=fraction
+        )
+        assert report.frames == 90 and report.mismatches == 0
+
+
 class TestRunSweep:
     def test_trial_cap_respected_exactly(self):
         spec = small_spec(trials_per_point=BATCH_SIZE + 123, error_target=10**9)
@@ -226,6 +257,14 @@ class TestRunSweep:
         assert thread_count(2) == 2
         monkeypatch.delenv(THREADS_ENV_VAR)
         assert thread_count() == 1
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_thread_count_below_one_names_the_flag_or_variable(self, bad, monkeypatch):
+        with pytest.raises(ValueError, match="--threads"):
+            thread_count(bad)
+        monkeypatch.setenv(THREADS_ENV_VAR, str(bad))
+        with pytest.raises(ValueError, match=THREADS_ENV_VAR):
+            thread_count()
 
     def test_malformed_thread_env_names_the_variable(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, "two")

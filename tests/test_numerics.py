@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from marc_pnc.channel import PROFILE_PRESETS
 from marc_pnc.numerics import RngStream, complex_gaussian, qr_2x3
 
 ATOL = 1e-10
@@ -111,11 +113,18 @@ class TestGaussianSampling:
         assert [a.gaussian(1.0) for _ in range(8)] != [b.gaussian(1.0) for _ in range(8)]
 
     def test_scalar_and_batched_draws_share_the_stream(self):
-        a = RngStream(99, 1)
-        b = RngStream(99, 1)
-        scalars = [a.gaussian(2.0) for _ in range(16)]
-        batch = complex_gaussian(b.generator, 2.0, 16)
-        assert scalars == [complex(z) for z in batch]
+        # Bit for bit (uint64 views, so signed zeros count), and both
+        # streams end at the same position.
+        n = 10**5
+        variances = {v for p in PROFILE_PRESETS.values() for v in dataclasses.astuple(p)} | {0.1, 1.0, 2.0}
+        for stream, sigma2 in enumerate(sorted(variances)):
+            a = RngStream(99, stream)
+            b = RngStream(99, stream)
+            scalars = np.array([a.gaussian(sigma2) for _ in range(n)], dtype=np.complex128)
+            batch = complex_gaussian(b.generator, sigma2, n)
+            differ = np.count_nonzero(scalars.view(np.uint64) != batch.view(np.uint64))
+            assert differ == 0, f"sigma2={sigma2}: {differ} of {2 * n} parts differ"
+            assert a.uniform() == b.uniform(), f"sigma2={sigma2}: streams end at different positions"
 
     def test_second_moment(self):
         z = complex_gaussian(RngStream(7, 0).generator, 1.0, 10**6)

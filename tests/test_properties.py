@@ -1,14 +1,20 @@
-"""Property tests: the O(M^2) fast decoder equals the exhaustive rule, frame
-for frame, across the admissible space.
+"""Property tests: every batch kernel equals its scalar reference, frame for
+frame, across the admissible space.  The O(M^2) fast decoder equals the
+exhaustive rule; the batch relay ML search equals the scalar one; minimum
+distance equals a ``metric_m1`` scan; the cfnc baseline equals the grid
+oracle of test_cfnc.
 
 The space is every Hurwitz-Radon pairing the fast decoder accepts, with
 arbitrary phases: c = 0 with |a| = 1 (A pairs with the relay), or d = 0
 with |b| = 1 (B pairs, and the decoder swaps the source roles); M in
 {2, 4, 8, 16}; both relay maps; and SNR in [0, 40] dB, with 0 dB (es = 1,
 where the tie rule labels every frame RELAY_ERROR) drawn on purpose.
-Each example decodes a handful of frames whose relay symbol is a uniform
-draw, so it is the network-coded one about 1/M of the time and a relay
-error otherwise, and both branches are exercised at every SNR.
+For the fast decoder, each example decodes a handful of frames whose relay
+symbol is a uniform draw, so it is the network-coded one about 1/M of the
+time and a relay error otherwise, and both branches are exercised at every
+SNR.  The relay, minimum-distance and cfnc kernels need no pairing; they see
+frames relayed by the engine's own phase arithmetic, and cfnc uses the
+combining coefficient exp(i pi / M), which is valid for every M here.
 """
 
 import cmath
@@ -18,20 +24,25 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marc_pnc.cfnc import cfnc_destination_decode, make_cfnc_config
 from marc_pnc.channel import PROFILE_PRESETS, db_to_linear
 from marc_pnc.destination import (
     Branch,
     DecodeInput,
     fast_decode,
+    metric_m1,
+    min_euclidean_decode,
     novel_decode_exhaustive,
     novel_decode_exhaustive_batch,
     role_swap,
 )
-from marc_pnc.montecarlo import draw_batch
+from marc_pnc.montecarlo import draw_batch, transmit
 from marc_pnc.netmap import modulo_latin, xor_latin
 from marc_pnc.numerics import philox_bits
+from marc_pnc.relay import relay_ml_decode
 from marc_pnc.scheme import SchemeConstants
 from marc_pnc.signalset import make_psk
+from test_cfnc import destination_oracle
 
 FRAMES = 8
 
@@ -92,3 +103,38 @@ def test_fast_equals_exhaustive(abcd, m, map_kind, snr_db, profile, seed):
         assert batch[i] == want, f"frame {i}"
         if k.es == 1.0:
             assert ref.branch is Branch.RELAY_ERROR
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    abcd=constants(),
+    m=st.sampled_from((2, 4, 8, 16)),
+    map_kind=st.sampled_from(("modulo", "xor")),
+    snr_db=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+    profile=st.sampled_from(sorted(PROFILE_PRESETS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relay_and_joint_decoders_equal_scalar_references(abcd, m, map_kind, snr_db, profile, seed):
+    *abcd, _ = abcd
+    k = SchemeConstants(*abcd, es=db_to_linear(snr_db))
+    s = make_psk(m)
+    f = modulo_latin(m) if map_kind == "modulo" else xor_latin(m)
+    cfg = make_cfnc_config(s, cmath.exp(1j * math.pi / m))
+    pts = np.asarray(s.points, dtype=np.complex128)
+    cells = np.asarray(f.cells, dtype=np.int64)
+    d = draw_batch(np.random.Generator(philox_bits(seed, 0)), PROFILE_PRESETS[profile], m, FRAMES)
+    rx = transmit(d, k, pts, cells)
+
+    frames = (rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
+    naive = np.stack(min_euclidean_decode(*frames, cells)[:2], axis=1).tolist()
+    combining = np.stack(cfnc_destination_decode(*frames, cfg)[:2], axis=1).tolist()
+    for i in range(FRAMES):
+        _, _, h, _, _, _ = d.frame(i)
+        assert relay_ml_decode(complex(rx.y_r[i]), h, k, s) == (int(rx.relay_a[i]), int(rx.relay_b[i])), f"frame {i}"
+        y1, y2 = complex(rx.y_d1[i]), complex(rx.y_d2[i])
+        inp = DecodeInput(
+            y_d1=y1, y_d2=y2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f,
+        )
+        scan = min((metric_m1(inp, s.points[ia], s.points[ib]), ia, ib) for ia in range(m) for ib in range(m))
+        assert naive[i] == [scan[1], scan[2]], f"frame {i}"
+        assert tuple(combining[i]) == destination_oracle(y1, y2, h, k, s, cfg), f"frame {i}"
