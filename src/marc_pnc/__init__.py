@@ -6,7 +6,7 @@ Monte Carlo engine for symbol-error and diversity-order measurements.
 
 __version__ = "0.1.0"
 
-from .cfnc import CfncConfig, cfnc_run_frame, check_cfnc_uniqueness, make_cfnc_config
+from .cfnc import CfncConfig, check_cfnc_uniqueness, make_cfnc_config
 from .channel import (
     PROFILE_PRESETS,
     ChannelRealization,
@@ -34,17 +34,15 @@ from .destination import (
 from .diversity import DiversityFit, InsufficientDataError, estimate_diversity, probability_window
 from .montecarlo import (
     EquivalenceReport,
-    FrameResult,
     SepCurve,
     SepPoint,
     SweepSpec,
     equivalence_battery,
-    run_frame,
     run_sweep,
 )
-from .netmap import LatinSquare, apply_map, check_exclusive_law, modulo_latin, xor_latin
+from .netmap import LatinSquare, check_exclusive_law, modulo_latin, xor_latin
 from .numerics import RngStream, qr_2x3
-from .relay import relay_forward, relay_ml_decode
+from .relay import relay_ml_decode
 from .scheme import (
     SchemeConstants,
     WeightMatrices,

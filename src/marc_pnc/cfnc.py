@@ -24,9 +24,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelRealization, phase1, phase2
-from .destination import DecodeInput, DecodeOutput, decode_frame, joint_min_distance
-from .relay import relay_ml_decode
+import numpy as np
+
+from .destination import joint_min_distance
 from .scheme import SchemeConstants
 from .signalset import SignalSet
 
@@ -43,6 +43,12 @@ class CfncConfig:
             raise ValueError(f"|theta| must be 1, got {abs(self.theta)}")
         if not self.power_norm > 0:
             raise ValueError("power_norm must be positive")
+
+    def relay_points(self, pts) -> np.ndarray:
+        """(M, M) table of the point the relay sends for each decoded pair,
+        power_norm * (x_a + theta * x_b), rows indexed by x_a."""
+        pts = np.asarray(pts, dtype=np.complex128)
+        return self.power_norm * (pts[:, None] + self.theta * pts[None, :])
 
 
 DEFAULT_THETA = cmath.exp(1j * math.pi / 4.0)
@@ -66,10 +72,6 @@ def make_cfnc_config(s: SignalSet, theta: complex = DEFAULT_THETA) -> CfncConfig
     return CfncConfig(theta=theta, power_norm=1.0 / math.sqrt(mean_energy))
 
 
-def relay_combined_symbol(cfg: CfncConfig, s: SignalSet, ia: int, ib: int) -> complex:
-    return cfg.power_norm * (s.points[ia] + cfg.theta * s.points[ib])
-
-
 def cfnc_destination_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cfg: CfncConfig, counter=None):
     """Joint two-phase minimum-distance decoding of a batch of frames.
 
@@ -77,28 +79,4 @@ def cfnc_destination_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, c
     resolve to the smallest (index_a, index_b); the branch is always the
     trust-the-relay hypothesis since the baseline has no other.
     """
-    combined = cfg.power_norm * (pts[:, None] + cfg.theta * pts[None, :])
-    return joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k, pts, combined, counter)
-
-
-def cfnc_run_frame(
-    xa_idx: int,
-    xb_idx: int,
-    h: ChannelRealization,
-    k: SchemeConstants,
-    s: SignalSet,
-    cfg: CfncConfig,
-    z_r: complex,
-    z_d1: complex,
-    z_d2: complex,
-) -> tuple[DecodeOutput, tuple[int, int]]:
-    """One baseline frame: phase 1, relay detection and combining, phase 2,
-    joint destination decoding.  Returns the decision and the relay's pair."""
-    xa = s.points[xa_idx]
-    xb = s.points[xb_idx]
-    y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
-    relay_pair = relay_ml_decode(y_r, h, k, s)
-    x_r = relay_combined_symbol(cfg, s, relay_pair[0], relay_pair[1])
-    y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
-    inp = DecodeInput(y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=s)
-    return decode_frame(cfnc_destination_decode, inp, relay=cfg), relay_pair
+    return joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k, pts, cfg.relay_points(pts), counter)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .channel import PROFILE_PRESETS
 from .diversity import InsufficientDataError, estimate_diversity, probability_window
-from .montecarlo import DECODERS, MAP_KINDS, SepCurve, SweepSpec, equivalence_battery, run_sweep
+from .montecarlo import DECODERS, MAP_KINDS, SepCurve, SweepSpec, equivalence_battery, run_sweep, thread_count
 from .netmap import check_exclusive_law, modulo_latin, xor_latin
 from .scheme import (
     SchemeConstants,
@@ -86,10 +86,19 @@ def _print_point(point) -> None:
     )
 
 
+def _input_error(command: str, exc: Exception) -> int:
+    print(f"marc-pnc {command}: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+    try:
+        spec = _spec_from_args(args)
+        threads = thread_count(args.threads)
+    except (OSError, ValueError) as exc:
+        return _input_error("sweep", exc)
     print(f"sweep: decoder={spec.decoder} map={spec.map_kind} m={spec.m} seed={spec.seed}")
-    curve = run_sweep(spec, threads=args.threads, progress=_print_point)
+    curve = run_sweep(spec, threads=threads, progress=_print_point)
     emit_csv(curve, args.out)
     print(f"wrote {args.out}")
     if args.plot_script:
@@ -145,11 +154,11 @@ def cmd_verify(_args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
+    given = {name: getattr(args, name) for name in ("frames_per_cell", "seed") if getattr(args, name) is not None}
     try:
-        report = equivalence_battery(frames_per_cell=args.frames_per_cell, seed=args.seed)
+        report = equivalence_battery(**given)
     except ValueError as exc:
-        print(f"marc-pnc equiv: {exc}", file=sys.stderr)
-        return 2
+        return _input_error("equiv", exc)
     print(f"frames compared: {report.frames}")
     print(f"mismatches:      {report.mismatches}")
     if report.mismatches:
@@ -179,6 +188,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     else:
         grid = tuple(float(v) for v in range(4, 29, 2))
         trials, target = 8_000_000, 4_000
+    try:
+        threads = thread_count(args.threads)
+    except ValueError as exc:
+        return _input_error("reproduce", exc)
     outdir = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -194,7 +207,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             error_target=target,
         )
         print(f"running {decoder} sweep on scenario {args.scenario!r}:")
-        curves[decoder] = run_sweep(spec, threads=args.threads, progress=_print_point)
+        curves[decoder] = run_sweep(spec, threads=threads, progress=_print_point)
         paths[decoder] = outdir / f"{args.scenario}_{decoder}.csv"
         emit_csv(curves[decoder], paths[decoder])
         print(f"wrote {paths[decoder]}")
@@ -235,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_equiv = sub.add_parser("equiv", help="fast-vs-exhaustive equivalence battery")
-    p_equiv.add_argument("--frames-per-cell", type=int, default=8400, help="frames per (SNR, profile) cell")
-    p_equiv.add_argument("--seed", type=int, default=2024)
+    # Unset flags fall back to equivalence_battery's own defaults.
+    p_equiv.add_argument("--frames-per-cell", type=int, help="frames per (SNR, profile) cell")
+    p_equiv.add_argument("--seed", type=int)
     p_equiv.set_defaults(func=cmd_equiv)
 
     p_rep = sub.add_parser("reproduce", help="run a named comparison scenario")

@@ -11,13 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import SepCurve
+from .montecarlo import PROBABILITY_EVENTS, SepCurve
 
 #: Minimum error events per point for a statistically usable estimate.
 MIN_EVENTS = 50
 MIN_POINTS = 3
-
-CURVE_FIELDS = ("sep_joint", "sep_a", "sep_b", "p_relay_err", "p_err_rc", "p_err_rw")
 
 
 class InsufficientDataError(ValueError):
@@ -34,7 +32,7 @@ class DiversityFit:
 
 
 def _valid_points(curve: SepCurve, which: str, window_db: tuple[float, float], min_events: int):
-    if which not in CURVE_FIELDS:
+    if which not in PROBABILITY_EVENTS:
         raise ValueError(f"unknown curve field {which!r}")
     lo, hi = window_db
     chosen = []

@@ -15,9 +15,7 @@ counters are summed; this keeps the kernels' per-candidate temporaries in
 cache.  Every kernel is per-frame independent, so results do not depend on
 the chunk size.
 
-``run_frame`` sends one frame through the same destination decoders (as a
-batch of one) after the scalar reference relay; tests use it to audit the
-engine.  ``equivalence_battery`` holds the fast decoder against the scalar
+``equivalence_battery`` holds the fast decoder against the scalar
 exhaustive reference.
 
 The symbol error probability reported as ``sep_joint`` is the joint pair
@@ -38,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cfnc import DEFAULT_THETA, CfncConfig, cfnc_destination_decode, cfnc_run_frame, make_cfnc_config
+from .cfnc import DEFAULT_THETA, CfncConfig, cfnc_destination_decode, make_cfnc_config
 from .channel import (
     PROFILE_PRESETS,
     ChannelRealization,
@@ -51,8 +49,6 @@ from .channel import (
 from .destination import (
     Branch,
     DecodeInput,
-    DecodeOutput,
-    decode_frame,
     fast_decode,
     min_euclidean_decode,
     novel_decode_exhaustive,
@@ -61,7 +57,7 @@ from .destination import (
 )
 from .netmap import LatinSquare, modulo_latin, xor_latin
 from .numerics import RngStream, complex_gaussian, philox_bits
-from .relay import relay_forward, relay_ml_decode, relay_ml_decode_batch
+from .relay import relay_ml_decode, relay_ml_decode_batch
 from .scheme import EXAMPLE1_ABCD, SchemeConstants, example1_constants
 
 # Not called here: kept as module attributes because the benchmark's trace
@@ -142,62 +138,16 @@ class SweepSpec:
     def cfnc_config(self) -> CfncConfig:
         return make_cfnc_config(self.signal_set(), self.theta)
 
-
-@dataclass(frozen=True)
-class FrameResult:
-    xa_idx: int
-    xb_idx: int
-    relay_pair: tuple[int, int]
-    relay_nc_error: bool
-    output: DecodeOutput
-
-    @property
-    def joint_error(self) -> bool:
-        return (self.output.xa_idx, self.output.xb_idx) != (self.xa_idx, self.xb_idx)
-
-
-def run_frame(spec: SweepSpec, snr_db: float, rng: RngStream) -> FrameResult:
-    """One complete frame: scalar relay, then the sweep's destination
-    decoder on a batch of one.
-
-    Draw order is fixed: message indices (a then b), the five fade
-    coefficients in ChannelRealization field order, then the three unit
-    noises z_r, z_d1, z_d2.
-    """
-    k = spec.constants_at(snr_db)
-    s = spec.signal_set()
-    f = spec.relay_map()
-    ia = rng.index(spec.m)
-    ib = rng.index(spec.m)
-    h = sample_channel(rng, spec.profile)
-    z_r = rng.gaussian(1.0)
-    z_d1 = rng.gaussian(1.0)
-    z_d2 = rng.gaussian(1.0)
-
-    if spec.decoder == "cfnc":
-        out, relay_pair = cfnc_run_frame(ia, ib, h, k, s, spec.cfnc_config(), z_r, z_d1, z_d2)
-        nc_error = relay_pair != (ia, ib)
-        return FrameResult(ia, ib, relay_pair, nc_error, out)
-
-    xa = s.points[ia]
-    xb = s.points[ib]
-    y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
-    relay_pair = relay_ml_decode(y_r, h, k, s)
-    x_r = relay_forward(relay_pair, f, s)
-    y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
-    nc_error = f.cells[relay_pair[0]][relay_pair[1]] != f.cells[ia][ib]
-
-    inp = DecodeInput(
-        y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd,
-        constants=k, signal_set=s, relay_map=f,
-    )
-    if spec.decoder == "min-euclid":
-        out = decode_frame(min_euclidean_decode, inp)
-    elif spec.decoder == "novel-exhaustive":
-        out = decode_frame(novel_decode_exhaustive_batch, inp)
-    else:
-        out = decode_frame(fast_decode, inp)
-    return FrameResult(ia, ib, relay_pair, nc_error, out)
+    def relay_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The relay function as two (M, M) tables indexed by the decoded
+        pair (index_a, index_b): its network-coded value, and the point the
+        relay sends.  The Latin-square map codes a pair as its cell; the
+        cfnc relay combines injectively, so its code is the pair itself."""
+        pts = np.asarray(self.signal_set().points, dtype=np.complex128)
+        if self.decoder == "cfnc":
+            return np.arange(self.m * self.m).reshape(self.m, self.m), self.cfnc_config().relay_points(pts)
+        cells = np.asarray(self.relay_map().cells, dtype=np.int64)
+        return cells, pts[cells]
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +168,18 @@ class _Counts:
         for f in dataclasses.fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
+
+
+#: The probabilities a SepPoint reports, in CSV column order, each mapped to
+#: the counter of the events it counts.
+PROBABILITY_EVENTS = {
+    "sep_joint": "errors",
+    "sep_a": "errors_a",
+    "sep_b": "errors_b",
+    "p_relay_err": "relay_wrong",
+    "p_err_rc": "errors_relay_correct",
+    "p_err_rw": "errors_relay_wrong",
+}
 
 
 @dataclass(frozen=True)
@@ -264,14 +226,7 @@ class SepPoint:
         return getattr(self, which)
 
     def event_count(self, which: str) -> int:
-        return {
-            "sep_joint": self.errors,
-            "sep_a": self.errors_a,
-            "sep_b": self.errors_b,
-            "p_relay_err": self.relay_wrong,
-            "p_err_rc": self.errors_relay_correct,
-            "p_err_rw": self.errors_relay_wrong,
-        }[which]
+        return getattr(self, PROBABILITY_EVENTS[which])
 
 
 @dataclass(frozen=True)
@@ -339,21 +294,19 @@ class Received(NamedTuple):
     nc_wrong: np.ndarray
 
 
-def transmit(d: BatchDraws, k: SchemeConstants, pts, cells, cfg: CfncConfig | None = None) -> Received:
-    """Phase 1, relay ML detection, the relay's forwarding (the Latin-square
-    map, or cfnc combining when ``cfg`` is given) and phase 2."""
+def transmit(d: BatchDraws, k: SchemeConstants, pts, code, relay_pts) -> Received:
+    """Phase 1, relay ML detection, the relay's forwarding and phase 2.
+    ``code`` and ``relay_pts`` are ``SweepSpec.relay_tables``: the relay
+    sends ``relay_pts[ra, rb]`` for its decoded pair (ra, rb), and
+    ``nc_wrong`` flags ``code[ra, rb] != code[ia, ib]``."""
     root = math.sqrt(k.es)
     xa = pts[d.ia]
     xb = pts[d.ib]
     y_r = d.h_ar * (root * k.a) * xa + d.h_br * (root * k.b) * xb + d.z_r
     y_d1 = d.h_ad * (root * k.a) * xa + d.h_bd * (root * k.b) * xb + d.z_d1
     ra, rb = relay_ml_decode_batch(y_r, d.h_ar, d.h_br, k, pts)
-    if cfg is not None:
-        x_r = cfg.power_norm * (pts[ra] + cfg.theta * pts[rb])
-        nc_wrong = (ra != d.ia) | (rb != d.ib)
-    else:
-        x_r = pts[cells[ra, rb]]
-        nc_wrong = cells[ra, rb] != cells[d.ia, d.ib]
+    x_r = relay_pts[ra, rb]
+    nc_wrong = code[ra, rb] != code[d.ia, d.ib]
     y_d2 = d.h_ad * (root * k.c) * xa + d.h_bd * (root * k.d) * xb + d.h_rd * root * x_r + d.z_d2
     return Received(y_r, y_d1, y_d2, ra, rb, nc_wrong)
 
@@ -368,20 +321,21 @@ def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index
     gen = np.random.Generator(philox_bits(spec.seed, _stream_id(point_index, batch_index)))
     k = spec.constants_at(snr_db)
     pts = np.asarray(spec.signal_set().points, dtype=np.complex128)
-    cells = np.asarray(spec.relay_map().cells, dtype=np.int64)
+    code, relay_pts = spec.relay_tables()
     cfg = spec.cfnc_config() if spec.decoder == "cfnc" else None
     draws = draw_batch(gen, spec.profile, spec.m, n)
     counts = _Counts()
     for start in range(0, n, CHUNK_SIZE):
         d = draws.chunk(start, start + CHUNK_SIZE)
-        rx = transmit(d, k, pts, cells, cfg)
+        rx = transmit(d, k, pts, code, relay_pts)
         frames = (rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
+        # A Latin-square relay's code table is its cells.
         if spec.decoder == "fast":
-            da, db, _ = fast_decode(*frames, cells)
+            da, db, _ = fast_decode(*frames, code)
         elif spec.decoder == "novel-exhaustive":
-            da, db, _ = novel_decode_exhaustive_batch(*frames, cells)
+            da, db, _ = novel_decode_exhaustive_batch(*frames, code)
         elif spec.decoder == "min-euclid":
-            da, db, _ = min_euclidean_decode(*frames, cells)
+            da, db, _ = min_euclidean_decode(*frames, code)
         else:
             da, db, _ = cfnc_destination_decode(*frames, cfg)
 
@@ -538,8 +492,8 @@ def equivalence_battery(
                     nc_idx = wrong if wrong < true_nc else wrong + 1
                     x_r = s.points[nc_idx]
                 else:
-                    relay_pair = relay_ml_decode(y_r, h, k, s)
-                    x_r = relay_forward(relay_pair, f, s)
+                    ra, rb = relay_ml_decode(y_r, h, k, s)
+                    x_r = s.points[f.cells[ra][rb]]
                 y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
                 inputs.append(DecodeInput(
                     y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd,

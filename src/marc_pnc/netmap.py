@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .signalset import SignalSet
-
 
 @dataclass(frozen=True)
 class LatinSquare:
@@ -74,12 +72,3 @@ def check_exclusive_law(cells) -> bool:
         if len(col) != m:
             return False
     return True
-
-
-def apply_map(f: LatinSquare, s: SignalSet, xa_idx: int, xb_idx: int) -> complex:
-    """Constellation point the relay transmits for a decoded index pair."""
-    if not (0 <= xa_idx < f.order and 0 <= xb_idx < f.order):
-        raise IndexError(f"indices ({xa_idx}, {xb_idx}) out of range for order {f.order}")
-    if f.order != s.m:
-        raise ValueError("map order and constellation size differ")
-    return s.points[f.cells[xa_idx][xb_idx]]

@@ -1,4 +1,4 @@
-"""Relay-side processing: joint ML demodulation and network-coded forwarding.
+"""Relay-side processing: joint ML demodulation of the superposed pair.
 
 The relay sees a single superposed sample per frame and jointly detects the
 transmitted index pair over all M^2 candidates.  Exhaustive search is kept
@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .channel import ChannelRealization
-from .netmap import LatinSquare, apply_map
 from .numerics import first_pair_min, sqdist, symbol_terms
 from .scheme import SchemeConstants
 from .signalset import SignalSet
@@ -63,8 +62,3 @@ def relay_ml_decode_batch(
     ta = symbol_terms(h_ar * (root * k.a), pts)
     tb = symbol_terms(h_br * (root * k.b), pts)
     return first_pair_min(sqdist(y_r - ta[ia], tb) for ia in range(len(pts)))
-
-
-def relay_forward(dec: tuple[int, int], f: LatinSquare, s: SignalSet) -> complex:
-    """Constellation point for the network-coded value of a decoded pair."""
-    return apply_map(f, s, dec[0], dec[1])

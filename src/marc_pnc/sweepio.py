@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from . import __version__
 from .cfnc import DEFAULT_THETA
 from .channel import PROFILE_PRESETS, FadingProfile
-from .montecarlo import SepCurve, SweepSpec
+from .montecarlo import PROBABILITY_EVENTS, SepCurve, SweepSpec
 from .scheme import EXAMPLE1_ABCD
 
-CSV_HEADER = "snr_db,sep_joint,sep_a,sep_b,p_relay_err,p_err_rc,p_err_rw,trials"
-
-_CSV_PROB_FIELDS = ("sep_joint", "sep_a", "sep_b", "p_relay_err", "p_err_rc", "p_err_rw")
+CSV_HEADER = ",".join(("snr_db", *PROBABILITY_EVENTS, "trials"))
 
 
 def _fmt(x: float) -> str:
@@ -64,7 +62,7 @@ def curve_to_csv(curve: SepCurve) -> str:
     lines.append(CSV_HEADER)
     for p in curve.points:
         cells = [_fmt(p.snr_db)]
-        for fieldname in _CSV_PROB_FIELDS:
+        for fieldname in PROBABILITY_EVENTS:
             v = p.value(fieldname)
             cells.append("" if v is None else _fmt(v))
         cells.append(str(p.trials))

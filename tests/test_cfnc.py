@@ -1,23 +1,34 @@
 import math
 
+import numpy as np
 import pytest
 
 from marc_pnc.cfnc import (
     DEFAULT_THETA,
     CfncConfig,
     cfnc_destination_decode,
-    cfnc_run_frame,
     check_cfnc_uniqueness,
     make_cfnc_config,
-    relay_combined_symbol,
 )
 from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS, sample_channel
 from marc_pnc.destination import DecodeInput, decode_frame
-from marc_pnc.numerics import RngStream
+from marc_pnc.montecarlo import BatchDraws, SweepSpec, draw_batch, transmit
+from marc_pnc.numerics import RngStream, philox_bits
 from marc_pnc.scheme import example1_constants
 from marc_pnc.signalset import make_psk
 
 S4 = make_psk(4)
+PTS4 = np.asarray(S4.points)
+#: The 4-PSK baseline with the default coefficient, as sweeps run it.
+CFNC4 = SweepSpec(snr_points_db=(0.0,), trials_per_point=1, profile=PROFILE_PRESETS["equal"], decoder="cfnc")
+
+
+def relay_and_decode(d: BatchDraws, k):
+    """Relay and decode frames through the sweep engine's cfnc path;
+    returns what the relay and the destination decided."""
+    rx = transmit(d, k, PTS4, *CFNC4.relay_tables())
+    da, db, _ = cfnc_destination_decode(rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, PTS4, CFNC4.cfnc_config())
+    return rx, da, db
 
 
 class TestUniqueness:
@@ -57,16 +68,12 @@ class TestRelayConstellation:
     def test_power_norm_gives_unit_mean_energy(self):
         cfg = make_cfnc_config(S4)
         assert cfg.power_norm == pytest.approx(1.0 / math.sqrt(2.0))
-        energies = [abs(relay_combined_symbol(cfg, S4, ia, ib)) ** 2 for ia in range(4) for ib in range(4)]
+        energies = [abs(z) ** 2 for z in cfg.relay_points(S4.points).ravel().tolist()]
         assert sum(energies) / 16 == pytest.approx(1.0)
 
     def test_m_squared_distinct_points(self):
         cfg = make_cfnc_config(S4)
-        pts = {
-            (round(relay_combined_symbol(cfg, S4, ia, ib).real, 9), round(relay_combined_symbol(cfg, S4, ia, ib).imag, 9))
-            for ia in range(4)
-            for ib in range(4)
-        }
+        pts = {(round(z.real, 9), round(z.imag, 9)) for z in cfg.relay_points(S4.points).ravel().tolist()}
         assert len(pts) == 16
 
 
@@ -88,14 +95,16 @@ def destination_oracle(y_d1, y_d2, h, k, s, cfg):
 
 class TestCfncFrames:
     def test_noiseless_frame_decodes_truth(self):
-        cfg = make_cfnc_config(S4)
         k = example1_constants(4.0)
         h = ChannelRealization(0.9, 1.1, 0.8 - 0.1j, 1.2 + 0.4j, 0.6 + 0.7j)
-        for ia in range(4):
-            for ib in range(4):
-                out, relay_pair = cfnc_run_frame(ia, ib, h, k, S4, cfg, 0.0, 0.0, 0.0)
-                assert relay_pair == (ia, ib)
-                assert (out.xa_idx, out.xb_idx) == (ia, ib)
+        pairs = np.arange(16)
+        fades = {name: np.full(16, complex(getattr(h, name))) for name in ("h_ar", "h_br", "h_ad", "h_bd", "h_rd")}
+        noise = {name: np.zeros(16, dtype=complex) for name in ("z_r", "z_d1", "z_d2")}
+        d = BatchDraws(ia=pairs // 4, ib=pairs % 4, **fades, **noise)
+        rx, da, db = relay_and_decode(d, k)
+        assert np.array_equal(rx.relay_a, d.ia) and np.array_equal(rx.relay_b, d.ib)
+        assert np.array_equal(da, d.ia) and np.array_equal(db, d.ib)
+        assert not rx.nc_wrong.any()
 
     def test_destination_matches_grid_oracle(self):
         cfg = make_cfnc_config(S4)
@@ -110,13 +119,8 @@ class TestCfncFrames:
             assert (out.xa_idx, out.xb_idx) == destination_oracle(y_d1, y_d2, h, k, S4, cfg)
 
     def test_noisy_frames_mostly_correct_at_high_snr(self):
-        cfg = make_cfnc_config(S4)
         k = example1_constants(10**3.0)
-        rng = RngStream(301, 0)
-        errors = 0
-        for _ in range(300):
-            ia, ib = rng.index(4), rng.index(4)
-            h = sample_channel(rng, PROFILE_PRESETS["equal"])
-            out, _ = cfnc_run_frame(ia, ib, h, k, S4, cfg, rng.gaussian(1.0), rng.gaussian(1.0), rng.gaussian(1.0))
-            errors += (out.xa_idx, out.xb_idx) != (ia, ib)
+        d = draw_batch(np.random.Generator(philox_bits(301, 0)), PROFILE_PRESETS["equal"], 4, 300)
+        _, da, db = relay_and_decode(d, k)
+        errors = np.count_nonzero((da != d.ia) | (db != d.ib))
         assert errors < 30

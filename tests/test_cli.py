@@ -1,8 +1,9 @@
 import pytest
 
+from marc_pnc import cli
 from marc_pnc.cli import main, snr_at_sep
 from marc_pnc.channel import PROFILE_PRESETS
-from marc_pnc.montecarlo import SepCurve, SepPoint, SweepSpec
+from marc_pnc.montecarlo import EquivalenceReport, SepCurve, SepPoint, SweepSpec
 from marc_pnc.sweepio import parse_csv
 
 
@@ -28,6 +29,25 @@ class TestEquiv:
         assert "frames_per_cell must be >= 1" in captured.err
         assert "frames compared" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv,given",
+        [
+            ([], {}),
+            (["--seed", "5"], {"seed": 5}),
+            (["--frames-per-cell", "7", "--seed", "0"], {"frames_per_cell": 7, "seed": 0}),
+        ],
+    )
+    def test_passes_only_the_flags_given(self, argv, given, monkeypatch):
+        calls = []
+
+        def battery(**kwargs):
+            calls.append(kwargs)
+            return EquivalenceReport(frames=1, mismatches=0)
+
+        monkeypatch.setattr(cli, "equivalence_battery", battery)
+        assert main(["equiv", *argv]) == 0
+        assert calls == [given]
+
 
 class TestSweep:
     def test_end_to_end_with_config_and_overrides(self, tmp_path, capsys):
@@ -50,6 +70,27 @@ class TestSweep:
         assert rc == 0
         assert float(parse_csv(out_csv).metadata["var_rd"]) == pytest.approx(10.0)
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--m", "3"], "m must be a power of two"),
+            (["--threads", "0"], "--threads"),
+            (["--snr-db", "1,x"], "could not convert"),
+            (["--config", "{cfg}"], "unknown key 'frobnicate'"),
+            (["--config", "{missing}"], "No such file"),
+        ],
+    )
+    def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("frobnicate = 1\n")
+        out_csv = tmp_path / "out.csv"
+        argv = [a.format(cfg=cfg, missing=tmp_path / "missing.cfg") for a in argv]
+        assert main(["sweep", "--trials", "100", "--out", str(out_csv), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("marc-pnc sweep: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and not out_csv.exists()
+
 
 class TestReproduce:
     def test_quick_scenario_run(self, tmp_path, capsys):
@@ -61,6 +102,13 @@ class TestReproduce:
         assert (tmp_path / "equal_plot.py").exists()
         assert "reference high-SNR gain for this scenario: 3.3 dB" in out
         assert "measured gain" in out
+
+    def test_bad_threads_fail_before_the_outdir_is_made(self, tmp_path, capsys):
+        outdir = tmp_path / "repro"
+        assert main(["reproduce", "equal", "--quick", "--outdir", str(outdir), "--threads", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("marc-pnc reproduce: ") and "--threads" in captured.err
+        assert captured.out == "" and not outdir.exists()
 
 
 class TestSnrAtSep:

@@ -22,7 +22,7 @@ from marc_pnc.destination import (
 )
 from marc_pnc.netmap import modulo_latin
 from marc_pnc.numerics import RngStream, qr_2x3
-from marc_pnc.relay import relay_forward, relay_ml_decode
+from marc_pnc.relay import relay_ml_decode
 from marc_pnc.scheme import SchemeConstants, example1_constants
 from marc_pnc.signalset import make_psk
 
@@ -55,7 +55,7 @@ def random_decode_input(rng: RngStream, es: float, k=None, profile=None, force_r
         relay_pair = None
     else:
         relay_pair = relay_ml_decode(y_r, h, k, S4)
-        x_r = relay_forward(relay_pair, MOD4, S4)
+        x_r = S4.points[MOD4.cells[relay_pair[0]][relay_pair[1]]]
     y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
     return make_input(y_d1, y_d2, h, k), (ia, ib), relay_pair
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import threading
 
@@ -7,7 +8,7 @@ import pytest
 
 from marc_pnc import montecarlo
 from marc_pnc.cfnc import cfnc_destination_decode
-from marc_pnc.channel import PROFILE_PRESETS, ChannelRealization
+from marc_pnc.channel import PROFILE_PRESETS, phase1, phase2
 from marc_pnc.destination import (
     Branch,
     DecodeInput,
@@ -24,11 +25,10 @@ from marc_pnc.montecarlo import (
     SweepSpec,
     thread_count,
     draw_batch,
-    run_frame,
     run_sweep,
     transmit,
 )
-from marc_pnc.numerics import RngStream, philox_bits
+from marc_pnc.numerics import philox_bits
 from marc_pnc.relay import relay_ml_decode
 from marc_pnc.sweepio import curve_to_csv
 from test_cfnc import destination_oracle
@@ -93,61 +93,24 @@ class TestSweepSpec:
         small_spec(decoder="cfnc", m=8, theta=cmath.exp(1j * math.pi / 8))
 
 
-class TestRunFrame:
-    def test_determinism(self):
-        spec = small_spec()
-        seq_a = [run_frame(spec, 10.0, RngStream(5, i)) for i in range(20)]
-        seq_b = [run_frame(spec, 10.0, RngStream(5, i)) for i in range(20)]
-        assert seq_a == seq_b
-
-    def test_no_errors_at_extreme_snr(self):
-        spec = small_spec()
-        for i in range(1000):
-            fr = run_frame(spec, 60.0, RngStream(6, i))
-            assert not fr.joint_error
-
-    def test_relay_flag_matches_relay_only_resimulation(self):
-        # independent phase-1-only replay from the same streams
-        spec = small_spec()
-        s = spec.signal_set()
-        f = spec.relay_map()
-        k = spec.constants_at(20.0)
-        root = math.sqrt(k.es)
-        for i in range(400):
-            fr = run_frame(spec, 20.0, RngStream(9, i))
-            rng = RngStream(9, i)
-            ia = rng.index(4)
-            ib = rng.index(4)
-            h_ar = rng.gaussian(EQUAL.var_ar)
-            h_br = rng.gaussian(EQUAL.var_br)
-            rng.gaussian(EQUAL.var_ad), rng.gaussian(EQUAL.var_bd), rng.gaussian(EQUAL.var_rd)
-            z_r = rng.gaussian(1.0)
-            y_r = h_ar * root * k.a * s.points[ia] + h_br * root * k.b * s.points[ib] + z_r
-            h = ChannelRealization(h_ar, h_br, 0.0 + 0j, 0.0 + 0j, 0.0 + 0j)
-            pair = relay_ml_decode(y_r, h, k, s)
-            assert fr.relay_pair == pair
-            assert fr.relay_nc_error == (f.cells[pair[0]][pair[1]] != f.cells[ia][ib])
-
-    def test_cfnc_frame_runs(self):
-        spec = small_spec(decoder="cfnc")
-        fr = run_frame(spec, 30.0, RngStream(10, 0))
-        assert fr.output.branch is Branch.RELAY_CORRECT
-
-
 def check_batch_kernels_against_oracles(spec, snr_db, n):
     """Draw n frames and relay them through the engine's own phase
-    arithmetic (``montecarlo.transmit``), then hold each batch kernel to an
-    independent reference: scalar relay ML for the relay, the scalar
-    exhaustive rule for both aware decoders, a metric_m1 scan for minimum
-    distance and the grid oracle of test_cfnc for the baseline."""
+    arithmetic (``montecarlo.transmit``), then hold it and each batch kernel
+    to an independent reference: scalar ``phase1``/``phase2`` and the Latin
+    cells for ``transmit`` (under both the Latin-square and the cfnc relay
+    tables), scalar relay ML for the relay, the scalar exhaustive rule for
+    both aware decoders, a metric_m1 scan for minimum distance and the grid
+    oracle of test_cfnc for the baseline."""
     s = spec.signal_set()
     f = spec.relay_map()
     pts = np.asarray(s.points)
     cells = np.asarray(f.cells)
     k = spec.constants_at(snr_db)
-    cfg = spec.cfnc_config()
+    cfnc_spec = dataclasses.replace(spec, decoder="cfnc")
+    cfg = cfnc_spec.cfnc_config()
     d = draw_batch(np.random.Generator(philox_bits(123, 9)), EQUAL, spec.m, n)
-    y_r, y_d1, y_d2, ra, rb, _ = transmit(d, k, pts, cells)
+    y_r, y_d1, y_d2, ra, rb, nc_wrong = transmit(d, k, pts, *spec.relay_tables())
+    combined = transmit(d, k, pts, *cfnc_spec.relay_tables())
 
     frames = (y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
     fast = np.stack(fast_decode(*frames, cells), axis=1).tolist()
@@ -155,9 +118,25 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
     naive = np.stack(min_euclidean_decode(*frames, cells)[:2], axis=1).tolist()
     combining = np.stack(cfnc_destination_decode(*frames, cfg)[:2], axis=1).tolist()
 
+    def close(z, want):
+        # transmit associates the products differently, so not bit-exact
+        return z == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     for i in range(n):
-        _, _, h, _, _, _ = d.frame(i)
-        assert relay_ml_decode(complex(y_r[i]), h, k, s) == (int(ra[i]), int(rb[i]))
+        ia, ib, h, z_r, z_d1, z_d2 = d.frame(i)
+        xa, xb = s.points[ia], s.points[ib]
+        pair = relay_ml_decode(complex(y_r[i]), h, k, s)
+        assert pair == (int(ra[i]), int(rb[i]))
+        want_r, want_d1 = phase1(k, h, xa, xb, z_r, z_d1)
+        assert close(y_r[i], want_r) and close(y_d1[i], want_d1)
+        assert close(y_d2[i], phase2(k, h, xa, xb, s.points[f.cells[pair[0]][pair[1]]], z_d2))
+        assert nc_wrong[i] == (f.cells[pair[0]][pair[1]] != f.cells[ia][ib])
+        # cfnc: same phase 1, the relay combines its pair injectively
+        assert (combined.y_r[i], combined.y_d1[i]) == (y_r[i], y_d1[i])
+        assert (int(combined.relay_a[i]), int(combined.relay_b[i])) == pair
+        x_r = cfg.power_norm * (s.points[pair[0]] + cfg.theta * s.points[pair[1]])
+        assert close(combined.y_d2[i], phase2(k, h, xa, xb, x_r, z_d2))
+        assert combined.nc_wrong[i] == (pair != (ia, ib))
         inp = DecodeInput(y_d1=complex(y_d1[i]), y_d2=complex(y_d2[i]), h_ad=h.h_ad, h_bd=h.h_bd,
                           h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f)
         ref = novel_decode_exhaustive(inp)
@@ -313,6 +292,7 @@ class TestRunSweep:
     def test_absent_conditional_bins_reported_as_none(self):
         spec = small_spec(snr_points_db=(60.0,), trials_per_point=2000, error_target=10**9)
         p = run_sweep(spec).points[0]
+        assert p.errors == 0
         assert p.relay_wrong == 0
         assert p.p_err_rw is None
 

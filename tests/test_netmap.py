@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from marc_pnc.netmap import LatinSquare, apply_map, check_exclusive_law, modulo_latin, xor_latin
-from marc_pnc.signalset import make_psk
+from marc_pnc.netmap import LatinSquare, check_exclusive_law, modulo_latin, xor_latin
 
 
 def is_latin_square_reference(cells) -> bool:
@@ -82,29 +81,6 @@ class TestExclusiveLaw:
             LatinSquare(((0, 1), (0, 1)))
         with pytest.raises(ValueError, match="values"):
             LatinSquare(((0, 5), (5, 0)))
-
-
-class TestApplyMap:
-    def test_modulo_cell_lookup(self):
-        s = make_psk(4)
-        # cell (1, 2) of the modulo map holds index 3, the point -i
-        assert apply_map(modulo_latin(4), s, 1, 2) == pytest.approx(-1j)
-
-    def test_origin_cell(self):
-        s = make_psk(4)
-        assert apply_map(modulo_latin(4), s, 0, 0) == s.points[0]
-
-    def test_xor_diagonal(self):
-        s = make_psk(4)
-        assert apply_map(xor_latin(4), s, 3, 3) == s.points[0]
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            apply_map(modulo_latin(4), make_psk(4), 4, 0)
-
-    def test_order_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_map(modulo_latin(8), make_psk(4), 0, 0)
 
 
 class TestSerialization:

@@ -36,7 +36,7 @@ from marc_pnc.destination import (
     novel_decode_exhaustive_batch,
     role_swap,
 )
-from marc_pnc.montecarlo import draw_batch, transmit
+from marc_pnc.montecarlo import SweepSpec, draw_batch, transmit
 from marc_pnc.netmap import modulo_latin, xor_latin
 from marc_pnc.numerics import philox_bits
 from marc_pnc.relay import relay_ml_decode
@@ -116,14 +116,18 @@ def test_fast_equals_exhaustive(abcd, m, map_kind, snr_db, profile, seed):
 )
 def test_relay_and_joint_decoders_equal_scalar_references(abcd, m, map_kind, snr_db, profile, seed):
     *abcd, _ = abcd
-    k = SchemeConstants(*abcd, es=db_to_linear(snr_db))
-    s = make_psk(m)
-    f = modulo_latin(m) if map_kind == "modulo" else xor_latin(m)
+    spec = SweepSpec(
+        snr_points_db=(snr_db,), trials_per_point=1, profile=PROFILE_PRESETS[profile], m=m, map_kind=map_kind,
+        decoder="min-euclid", constants=tuple(abcd),
+    )
+    k = spec.constants_at(snr_db)
+    s = spec.signal_set()
+    f = spec.relay_map()
     cfg = make_cfnc_config(s, cmath.exp(1j * math.pi / m))
     pts = np.asarray(s.points, dtype=np.complex128)
     cells = np.asarray(f.cells, dtype=np.int64)
-    d = draw_batch(np.random.Generator(philox_bits(seed, 0)), PROFILE_PRESETS[profile], m, FRAMES)
-    rx = transmit(d, k, pts, cells)
+    d = draw_batch(np.random.Generator(philox_bits(seed, 0)), spec.profile, m, FRAMES)
+    rx = transmit(d, k, pts, *spec.relay_tables())
 
     frames = (rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
     naive = np.stack(min_euclidean_decode(*frames, cells)[:2], axis=1).tolist()

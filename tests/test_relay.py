@@ -3,8 +3,7 @@ import math
 import numpy as np
 
 from marc_pnc.channel import ChannelRealization
-from marc_pnc.netmap import apply_map, modulo_latin, xor_latin
-from marc_pnc.relay import relay_forward, relay_ml_decode
+from marc_pnc.relay import relay_ml_decode
 from marc_pnc.scheme import example1_constants
 from marc_pnc.signalset import make_psk
 
@@ -71,29 +70,3 @@ class TestRelayMlDecode:
                     rows.append((d, ia, ib))
             rows.sort()
             assert relay_ml_decode(y_r, h, k, s) == (rows[0][1], rows[0][2])
-
-
-class TestRelayForward:
-    def test_modulo_cell(self):
-        s = make_psk(4)
-        assert relay_forward((1, 2), modulo_latin(4), s) == s.points[3]
-
-    def test_origin(self):
-        s = make_psk(4)
-        assert relay_forward((0, 0), modulo_latin(4), s) == s.points[0]
-
-    def test_output_alphabet_has_m_points(self):
-        s = make_psk(8)
-        for f in (modulo_latin(8), xor_latin(8)):
-            outputs = {relay_forward((ia, ib), f, s) for ia in range(8) for ib in range(8)}
-            assert len(outputs) == 8
-
-    def test_decision_invariant(self):
-        gen = np.random.default_rng(20)
-        k = example1_constants(4.0)
-        s = make_psk(4)
-        f = modulo_latin(4)
-        for _ in range(50):
-            y_r, h, _, _ = random_frame(gen, k, s)
-            dec = relay_ml_decode(y_r, h, k, s)
-            assert relay_forward(dec, f, s) == apply_map(f, s, *dec)
