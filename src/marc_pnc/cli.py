@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from pathlib import Path
 
 from .channel import PROFILE_PRESETS
@@ -91,10 +92,22 @@ def _input_error(command: str, exc: Exception) -> int:
     return 2
 
 
+def _check_output_path(path: Path) -> None:
+    """Fail before a sweep runs where ``path`` cannot be written as a file:
+    its directory does not exist, or it is a directory itself."""
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"no directory {str(path.parent)!r} to write {str(path)!r} in")
+    if path.is_dir():
+        raise IsADirectoryError(f"{str(path)!r} is a directory")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         spec = _spec_from_args(args)
         threads = thread_count(args.threads)
+        _check_output_path(args.out)
+        if args.plot_script:
+            _check_output_path(args.plot_script)
     except (OSError, ValueError) as exc:
         return _input_error("sweep", exc)
     print(f"sweep: decoder={spec.decoder} map={spec.map_kind} m={spec.m} seed={spec.seed}")
@@ -155,10 +168,13 @@ def cmd_verify(_args: argparse.Namespace) -> int:
 
 def cmd_equiv(args: argparse.Namespace) -> int:
     given = {name: getattr(args, name) for name in ("frames_per_cell", "seed") if getattr(args, name) is not None}
+    start = time.perf_counter()
     try:
         report = equivalence_battery(**given)
     except ValueError as exc:
         return _input_error("equiv", exc)
+    wall = time.perf_counter() - start
+    print(f"equiv: {wall:.2f} s, {report.frames / wall:.0f} frames/s", file=sys.stderr)
     print(f"frames compared: {report.frames}")
     print(f"mismatches:      {report.mismatches}")
     if report.mismatches:
@@ -188,12 +204,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     else:
         grid = tuple(float(v) for v in range(4, 29, 2))
         trials, target = 8_000_000, 4_000
+    outdir = args.outdir
     try:
         threads = thread_count(args.threads)
-    except ValueError as exc:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
         return _input_error("reproduce", exc)
-    outdir = args.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
 
     curves: dict[str, SepCurve] = {}
     paths = {}

@@ -178,6 +178,10 @@ def metric_m4(inp: DecodeInput, xa: complex, xb: complex, xr: complex) -> float:
     return _sq(res1) + _sq(res2) + math.log(k.es)
 
 
+def _pairs(zs) -> list[tuple[float, float]]:
+    return [(z.real, z.imag) for z in zs]
+
+
 def novel_decode_exhaustive(inp: DecodeInput, counter: EvalCounter | None = None) -> DecodeOutput:
     """Relay-error-aware decoding by direct evaluation (O(M^3) work).
 
@@ -185,55 +189,69 @@ def novel_decode_exhaustive(inp: DecodeInput, counter: EvalCounter | None = None
     for the winning x_B compares the best trust-the-relay metric against
     the best penalised any-relay-symbol metric, exactly as the fast
     algorithm does, so the two implementations are interchangeable.
+
+    This is the independent reference the batch decoders are tested
+    against, so it stays pure Python, one frame at a time.  Its floats are
+    those of ``metric_m1``/``metric_m2``, associated the same way: each
+    residual is (y - a_term) - b_term (- relay_term), with y - a_term
+    taken once per x_A, and the real and imaginary parts are subtracted
+    and squared separately, as complex subtraction and ``_sq`` do.
     """
     _require_unit_snr(inp.constants)
     ln_es = math.log(inp.constants.es)
     a1, b1, a2, b2, r2 = _phase_terms(inp)
-    cells = inp.relay_map.cells
     m = inp.signal_set.m
+    u1 = _pairs(inp.y_d1 - z for z in a1)
+    u2 = _pairs(inp.y_d2 - z for z in a2)
+    rel = _pairs(r2)
+    # Per relay symbol f: its term, and every other symbol's in ascending order.
+    relay = [(rr, ri, rel[:f] + rel[f + 1 :]) for f, (rr, ri) in enumerate(rel)]
 
-    # Per x_B: best m1 and best m3 = min(m1, m2) over x_A, first achiever.
-    best1 = [math.inf] * m
-    arg1 = [0] * m
-    best3 = [math.inf] * m
-    arg3 = [0] * m
-    for ia in range(m):
-        row = cells[ia]
-        for ib in range(m):
-            p1 = _sq(inp.y_d1 - a1[ia] - b1[ib])
-            base2 = inp.y_d2 - a2[ia] - b2[ib]
-            fidx = row[ib]
-            p2_f = 0.0
+    # x_B outermost; per x_B, the first x_A achieving the best m1 and the
+    # best m3 = min(m1, m2), then the strict branch comparison.
+    best_m = math.inf
+    pick = (0, 0, Branch.RELAY_ERROR)
+    for ib, col in enumerate(zip(*inp.relay_map.cells)):
+        b1r, b1i = b1[ib].real, b1[ib].imag
+        b2r, b2i = b2[ib].real, b2[ib].imag
+        best1 = best3 = math.inf
+        arg1 = arg3 = 0
+        for ia, ((u1r, u1i), (u2r, u2i), fidx) in enumerate(zip(u1, u2, col)):
+            dr = u1r - b1r
+            di = u1i - b1i
+            p1 = dr * dr + di * di
+            vr = u2r - b2r
+            vi = u2i - b2i
+            rr, ri, others = relay[fidx]
+            dr = vr - rr
+            di = vi - ri
+            m1 = p1 + (dr * dr + di * di)
             p2_other = math.inf
-            for r in range(m):
-                p2 = _sq(base2 - r2[r])
-                if r == fidx:
-                    p2_f = p2
-                elif p2 < p2_other:
+            for rr, ri in others:
+                dr = vr - rr
+                di = vi - ri
+                p2 = dr * dr + di * di
+                if p2 < p2_other:
                     p2_other = p2
-            m1 = p1 + p2_f
             m2 = p1 + p2_other
             m3 = m1 if m1 <= m2 else m2
-            if m1 < best1[ib]:
-                best1[ib] = m1
-                arg1[ib] = ia
-            if m3 < best3[ib]:
-                best3[ib] = m3
-                arg3[ib] = ia
-    if counter is not None:
-        counter.add(m * m * m)
-
-    best_m = math.inf
-    out = DecodeOutput(0, 0, Branch.RELAY_ERROR)
-    for ib in range(m):
-        if best1[ib] < best3[ib] + ln_es:
-            mj, ia, br = best1[ib], arg1[ib], Branch.RELAY_CORRECT
+            if m1 < best1:
+                best1 = m1
+                arg1 = ia
+            if m3 < best3:
+                best3 = m3
+                arg3 = ia
+        pen = best3 + ln_es
+        if best1 < pen:
+            mj, ja, br = best1, arg1, Branch.RELAY_CORRECT
         else:
-            mj, ia, br = best3[ib] + ln_es, arg3[ib], Branch.RELAY_ERROR
+            mj, ja, br = pen, arg3, Branch.RELAY_ERROR
         if mj < best_m:
             best_m = mj
-            out = DecodeOutput(xa_idx=ia, xb_idx=ib, branch=br)
-    return out
+            pick = (ja, ib, br)
+    if counter is not None:
+        counter.add(m * m * m)
+    return DecodeOutput(*pick)
 
 
 def phi_metrics(

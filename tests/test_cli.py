@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from marc_pnc import cli
@@ -19,8 +21,13 @@ class TestVerify:
 class TestEquiv:
     def test_small_battery(self, capsys):
         assert main(["equiv", "--frames-per-cell", "40", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "mismatches:      0" in out
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "frames compared: 480\n"
+            "mismatches:      0\n"
+            "fast decoder is output-identical to the exhaustive reference\n"
+        )
+        assert re.fullmatch(r"equiv: \d+\.\d\d s, \d+ frames/s\n", captured.err)
 
     @pytest.mark.parametrize("frames", ["0", "-3"])
     def test_no_frames_is_an_error(self, frames, capsys):
@@ -91,6 +98,23 @@ class TestSweep:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == "" and not out_csv.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--plot-script"])
+    @pytest.mark.parametrize("target,message", [("missing-dir/x", "no directory"), ("a-dir", "is a directory")])
+    def test_unwritable_output_fails_before_the_sweep(self, flag, target, message, tmp_path, capsys, monkeypatch):
+        def run_sweep(*args, **kwargs):
+            pytest.fail("the sweep ran although its output could not be written")
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        (tmp_path / "a-dir").mkdir()
+        out_csv = tmp_path / "out.csv"
+        path = tmp_path / target
+        assert main(["sweep", "--trials", "100", "--out", str(out_csv), flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("marc-pnc sweep: ") and message in captured.err and str(path) in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["a-dir"]
+        assert not any((tmp_path / "a-dir").iterdir())
+
 
 class TestReproduce:
     def test_quick_scenario_run(self, tmp_path, capsys):
@@ -109,6 +133,19 @@ class TestReproduce:
         captured = capsys.readouterr()
         assert captured.err.startswith("marc-pnc reproduce: ") and "--threads" in captured.err
         assert captured.out == "" and not outdir.exists()
+
+    def test_outdir_that_is_a_file_fails_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        def run_sweep(*args, **kwargs):
+            pytest.fail("a sweep ran although the output directory could not be made")
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        outdir = tmp_path / "taken"
+        outdir.write_text("not a directory\n")
+        assert main(["reproduce", "equal", "--quick", "--outdir", str(outdir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("marc-pnc reproduce: ") and str(outdir) in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and outdir.read_text() == "not a directory\n"
 
 
 class TestSnrAtSep:

@@ -20,7 +20,7 @@ from marc_pnc.destination import (
     novel_decode_exhaustive,
     phi_metrics,
 )
-from marc_pnc.netmap import modulo_latin
+from marc_pnc.netmap import modulo_latin, xor_latin
 from marc_pnc.numerics import RngStream, qr_2x3
 from marc_pnc.relay import relay_ml_decode
 from marc_pnc.scheme import SchemeConstants, example1_constants
@@ -35,29 +35,29 @@ def make_input(y_d1, y_d2, h, k, s=S4, f=MOD4) -> DecodeInput:
     return DecodeInput(y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f)
 
 
-def random_decode_input(rng: RngStream, es: float, k=None, profile=None, force_relay_error=False):
+def random_decode_input(rng: RngStream, es: float, k=None, profile=None, force_relay_error=False, s=S4, f=MOD4):
     """One random frame through the true protocol, returning the decode
     input plus the transmitted indices and the relay decision."""
     k = (example1_constants(es) if k is None else dataclasses.replace(k, es=es))
     profile = profile or PROFILE_PRESETS["equal"]
-    ia = rng.index(4)
-    ib = rng.index(4)
+    ia = rng.index(s.m)
+    ib = rng.index(s.m)
     h = sample_channel(rng, profile)
     z_r = rng.gaussian(1.0)
     z_d1 = rng.gaussian(1.0)
     z_d2 = rng.gaussian(1.0)
-    xa, xb = S4.points[ia], S4.points[ib]
+    xa, xb = s.points[ia], s.points[ib]
     y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
     if force_relay_error:
-        wrong = rng.index(3)
-        nc = wrong if wrong < MOD4.cells[ia][ib] else wrong + 1
-        x_r = S4.points[nc]
+        wrong = rng.index(s.m - 1)
+        nc = wrong if wrong < f.cells[ia][ib] else wrong + 1
+        x_r = s.points[nc]
         relay_pair = None
     else:
-        relay_pair = relay_ml_decode(y_r, h, k, S4)
-        x_r = S4.points[MOD4.cells[relay_pair[0]][relay_pair[1]]]
+        relay_pair = relay_ml_decode(y_r, h, k, s)
+        x_r = s.points[f.cells[relay_pair[0]][relay_pair[1]]]
     y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
-    return make_input(y_d1, y_d2, h, k), (ia, ib), relay_pair
+    return make_input(y_d1, y_d2, h, k, s, f), (ia, ib), relay_pair
 
 
 def frame_rotation(inp: DecodeInput):
@@ -233,6 +233,27 @@ class TestMinEuclideanDecode:
         decode_frame(min_euclidean_decode, inp)  # no exception
 
 
+def plain_per_pair_scan(inp: DecodeInput):
+    """The literal rule from metric_m1/metric_m2: scan all pairs with x_B
+    outermost, per-pair objective min(m1, ln(es) + m2), and keep the first
+    strict improvement.  The branch is that of the winning x_B: trust the
+    relay only if its best m1 is strictly below ln(es) + its best
+    min(m1, m2), so the relay-error branch wins ties."""
+    pts = inp.signal_set.points
+    ln_es = math.log(inp.constants.es)
+    best = None
+    for ib, xb in enumerate(pts):
+        m1s = [metric_m1(inp, xa, xb) for xa in pts]
+        m2s = [metric_m2(inp, xa, xb) for xa in pts]
+        trust = min(m1s) < ln_es + min(map(min, m1s, m2s))
+        branch = Branch.RELAY_CORRECT if trust else Branch.RELAY_ERROR
+        for ia, (p, q) in enumerate(zip(m1s, m2s)):
+            g = min(p, ln_es + q)
+            if best is None or g < best[0]:
+                best = (g, ia, ib, branch)
+    return best[1:]
+
+
 class TestNovelDecodeExhaustive:
     def test_noiseless_relay_correct_decodes_truth_via_m1(self):
         for ia in range(4):
@@ -284,24 +305,15 @@ class TestNovelDecodeExhaustive:
             novel_decode_exhaustive(inp)
 
     def test_pair_matches_plain_per_pair_scan(self):
-        # literal reading of the rule: scan all pairs, per-pair objective
-        # min(m1, ln(es) + m2), keep the first strict improvement
-        rng = RngStream(119, 0)
-        for i in range(600):
-            es = (1.0, math.e, 20.0, 400.0)[i % 4]
-            inp, _, _ = random_decode_input(rng, es=es, force_relay_error=(i % 2 == 0))
-            ln_es = math.log(es)
-            best = None
-            for ib in range(4):
-                for ia in range(4):
-                    g = min(
-                        metric_m1(inp, S4.points[ia], S4.points[ib]),
-                        ln_es + metric_m2(inp, S4.points[ia], S4.points[ib]),
-                    )
-                    if best is None or g < best[0]:
-                        best = (g, ia, ib)
-            out = novel_decode_exhaustive(inp)
-            assert (out.xa_idx, out.xb_idx) == (best[1], best[2])
+        for m, frames in ((2, 200), (4, 600), (8, 120), (16, 24)):
+            s = make_psk(m)
+            for j, f in enumerate((modulo_latin(m), xor_latin(m))):
+                rng = RngStream(119, 2 * m + j)
+                for i in range(frames):
+                    es = (1.0, math.e, 20.0, 400.0)[i % 4]
+                    inp, _, _ = random_decode_input(rng, es=es, force_relay_error=(i % 2 == 0), s=s, f=f)
+                    out = novel_decode_exhaustive(inp)
+                    assert (out.xa_idx, out.xb_idx, out.branch) == plain_per_pair_scan(inp)
 
     def test_rewrite_identity_m2_vs_m3(self):
         # min(m1, ln + m2) == min(m1, ln + m3) pointwise once es >= 1

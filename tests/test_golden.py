@@ -1,5 +1,6 @@
-"""Golden sweep outputs: the SHA-256 of ``curve_to_csv`` for a pinned spec
-matrix.
+"""Golden outputs: the SHA-256 of ``curve_to_csv`` for a pinned spec
+matrix, and of the scalar exhaustive oracle's decisions on a pinned frame
+set.
 
 The matrix covers every decoder on both relay maps, M in {4, 8} and the
 three fading presets, plus the role-swapped fast path (d = 0, so only the
@@ -8,16 +9,28 @@ point is 0 dB, where the es = 1 tie rule decides every aware-decoder frame.
 The default combining coefficient collides on 8-PSK, so cfnc at M = 8 uses
 exp(i*pi/8).  Any change to draws, decoder arithmetic, tie-breaking or the
 CSV layout changes a digest.
+
+The oracle digest pins ``novel_decode_exhaustive``, which no sweep runs:
+its (index_a, index_b, branch) on frames drawn with ``draw_batch`` for M in
+{2, 4, 8, 16}, both maps, es in {1, 10, 1000} and both constant choices,
+half of them with a uniformly random relay symbol, plus one all-zero frame
+per setting, on which every candidate ties.
 """
 
 import cmath
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from marc_pnc.channel import PROFILE_PRESETS
-from marc_pnc.montecarlo import DECODERS, MAP_KINDS, SweepSpec, run_sweep
+from marc_pnc.destination import DecodeInput, novel_decode_exhaustive
+from marc_pnc.montecarlo import DECODERS, MAP_KINDS, SweepSpec, draw_batch, run_sweep, transmit
+from marc_pnc.netmap import modulo_latin, xor_latin
+from marc_pnc.numerics import philox_bits
+from marc_pnc.scheme import EXAMPLE1_ABCD, SchemeConstants
+from marc_pnc.signalset import make_psk
 from marc_pnc.sweepio import curve_to_csv
 
 SNR_DB = (0.0, 10.0, 20.0)
@@ -108,3 +121,45 @@ def test_matrix_is_complete():
 @pytest.mark.parametrize("label", sorted(GOLDEN))
 def test_csv_digest(label):
     assert digest(golden_specs()[label]) == GOLDEN[label]
+
+
+ORACLE_FRAMES = 40
+ORACLE_DIGEST = "ad465d10967f04883e4f88cf81728ebb055524dfaeb9d2f1604837f090a420d2"
+
+
+def oracle_inputs():
+    """The pinned frame set: (setting, DecodeInput) in a fixed order."""
+    stream = 0
+    for m in (2, 4, 8, 16):
+        s = make_psk(m)
+        pts = np.asarray(s.points, dtype=np.complex128)
+        for map_kind in MAP_KINDS:
+            f = modulo_latin(m) if map_kind == "modulo" else xor_latin(m)
+            cells = np.asarray(f.cells, dtype=np.int64)
+            for es in (1.0, 10.0, 1000.0):
+                for constants in (EXAMPLE1_ABCD, ROLE_SWAP_CONSTANTS):
+                    k = SchemeConstants(*constants, es=es)
+                    gen = np.random.Generator(philox_bits(SEED, stream))
+                    stream += 1
+                    d = draw_batch(gen, PROFILE_PRESETS["equal"], m, ORACLE_FRAMES)
+                    forced = gen.random(ORACLE_FRAMES) < 0.5
+                    x_forced = pts[gen.integers(0, m, size=ORACLE_FRAMES)]
+                    rx = transmit(d, k, pts, cells, pts[cells])
+                    x_r = np.where(forced, x_forced, pts[cells[rx.relay_a, rx.relay_b]])
+                    root = math.sqrt(es)
+                    y_d2 = d.h_ad * (root * k.c) * pts[d.ia] + d.h_bd * (root * k.d) * pts[d.ib] + d.h_rd * root * x_r + d.z_d2
+                    columns = zip(rx.y_d1.tolist(), y_d2.tolist(), d.h_ad.tolist(), d.h_bd.tolist(), d.h_rd.tolist())
+                    label = f"m{m}-{map_kind}-es{es:g}-{'default' if constants == EXAMPLE1_ABCD else 'role-swap'}"
+                    for y_d1, y2, h_ad, h_bd, h_rd in [*columns, (0j,) * 5]:
+                        yield label, DecodeInput(
+                            y_d1=y_d1, y_d2=y2, h_ad=h_ad, h_bd=h_bd, h_rd=h_rd,
+                            constants=k, signal_set=s, relay_map=f,
+                        )
+
+
+def test_oracle_decisions_digest():
+    h = hashlib.sha256()
+    for label, inp in oracle_inputs():
+        out = novel_decode_exhaustive(inp)
+        h.update(f"{label} {out.xa_idx} {out.xb_idx} {out.branch.name}\n".encode("ascii"))
+    assert h.hexdigest() == ORACLE_DIGEST
