@@ -30,7 +30,8 @@ Tie-breaking is pinned so the fast and exhaustive decoders agree
 bit-for-bit:
 
 * every argmin scans symbol indices ascending and keeps the first strict
-  improvement;
+  improvement: ``numerics.first_min`` within one array of candidates,
+  ``numerics.first_pair_min`` across a sequence of them;
 * candidate pairs are scanned with x_B outermost (mirroring the fast
   algorithm's loop nesting), so pair ties resolve to the smallest
   (index_b, index_a);
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmap import LatinSquare
-from .numerics import first_pair_min, qr_2x3, sqdist, symbol_terms
+from .numerics import first_min, first_pair_min, qr_2x3, sqdist, symbol_terms
 from .scheme import SchemeConstants, check_hr_orthogonal, weight_matrices
 from .signalset import SignalSet
 
@@ -343,12 +344,9 @@ def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counte
         c2 = qr.yt2 - qr.r22 * (root * pts[jb])
         phi1 = sqdist(c1, t11)
         phi3 = sqdist(c2, t23)
-        min1 = phi1.min(axis=0)
-        a2 = phi1.argmin(axis=0)
+        min1, a2 = first_min(phi1)
         min3 = phi3.min(axis=0)
-        comb = phi1 + phi3[cells[:, jb]]
-        b1 = comb.min(axis=0)
-        a1 = comb.argmin(axis=0)
+        b1, a1 = first_min(phi1 + phi3[cells[:, jb]])
         b2_pen = min1 + min3 + ln_es
 
         correct = b1 < b2_pen
@@ -415,7 +413,7 @@ def novel_decode_exhaustive_batch(
     pen = best3 + ln_es
     correct = best1 < pen
     mj = np.where(correct, best1, pen)
-    jb = mj.argmin(axis=0)  # first x_B attaining the minimum, as an ascending scan keeps
+    _, jb = first_min(mj)  # first x_B attaining the minimum, as an ascending scan keeps
     frames = np.arange(n)
     return np.where(correct, arg1, arg3)[jb, frames], jb, correct[jb, frames]
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cfnc import DEFAULT_THETA, CfncConfig, cfnc_destination_decode, make_cfnc_config
+from .cfnc import DEFAULT_THETA, CfncConfig, make_cfnc_config
 from .channel import (
     PROFILE_PRESETS,
     ChannelRealization,
@@ -50,6 +50,7 @@ from .destination import (
     Branch,
     DecodeInput,
     fast_decode,
+    joint_min_distance,
     min_euclidean_decode,
     novel_decode_exhaustive,
     novel_decode_exhaustive_batch,
@@ -322,7 +323,6 @@ def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index
     k = spec.constants_at(snr_db)
     pts = np.asarray(spec.signal_set().points, dtype=np.complex128)
     code, relay_pts = spec.relay_tables()
-    cfg = spec.cfnc_config() if spec.decoder == "cfnc" else None
     draws = draw_batch(gen, spec.profile, spec.m, n)
     counts = _Counts()
     for start in range(0, n, CHUNK_SIZE):
@@ -336,8 +336,8 @@ def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index
             da, db, _ = novel_decode_exhaustive_batch(*frames, code)
         elif spec.decoder == "min-euclid":
             da, db, _ = min_euclidean_decode(*frames, code)
-        else:
-            da, db, _ = cfnc_destination_decode(*frames, cfg)
+        else:  # cfnc: relay_pts holds its combined points, one per pair
+            da, db, _ = joint_min_distance(*frames, relay_pts)
 
         err_a = da != d.ia
         err_b = db != d.ib

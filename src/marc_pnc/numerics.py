@@ -8,7 +8,8 @@ always, r13 under the orthogonality condition checked in
 
 The relay and destination kernels lay per-candidate terms out
 candidate-major (``symbol_terms``), score them with ``sqdist`` and pick
-lexicographic first minima with ``first_pair_min``.
+first minima with ``first_min`` (over the rows of one block) and
+``first_pair_min`` (lexicographic, over a sequence of blocks).
 
 Randomness is counter-based: a ``RngStream`` is fully determined by a
 ``(seed, stream)`` pair of integers, so concurrent workers can draw from
@@ -49,14 +50,31 @@ def sqdist(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return re
 
 
+def first_min(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of a (J, n) array, the minimum and the first row that
+    reaches it: ``(v.min(axis=0), v.argmin(axis=0))`` for NaN-free input.
+    NaN is outside the contract.
+
+    The index counts the rows before the first one equal to the minimum.
+    That is J cheap whole-row operations; numpy's argmin along axis 0 moves
+    the axis and runs its inner loop once per column, which costs several
+    times more on the short, wide arrays of the candidate-major kernels."""
+    vmin = v.min(axis=0)
+    seen = v[0] == vmin
+    idx = np.zeros(vmin.shape, dtype=np.intp)
+    for row in v[1:]:
+        idx += ~seen
+        seen |= row == vmin
+    return vmin, idx
+
+
 def first_pair_min(blocks) -> tuple[np.ndarray, np.ndarray]:
     """Per frame, the first pair (i, j) in lexicographic order that
     minimises a metric.  ``blocks`` yields, for i = 0, 1, ..., the (J, n)
     metric of every (i, j); a later pair wins only by a strict improvement,
     so ties keep the earlier one."""
     for i, v in enumerate(blocks):
-        vmin = v.min(axis=0)
-        vj = v.argmin(axis=0)
+        vmin, vj = first_min(v)
         if i == 0:
             best, best_i, best_j = vmin, np.zeros_like(vj), vj
             continue

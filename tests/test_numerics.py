@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from marc_pnc.channel import PROFILE_PRESETS
-from marc_pnc.numerics import RngStream, complex_gaussian, qr_2x3
+from marc_pnc.numerics import RngStream, complex_gaussian, first_min, first_pair_min, qr_2x3
 
 ATOL = 1e-10
 
@@ -38,6 +41,60 @@ def random_channels(gen, n):
     h = gen.standard_normal((n, 2, 3)) + 1j * gen.standard_normal((n, 2, 3))
     h[:, 0, 2] = 0.0
     return h
+
+
+# A few values drawn often, so that columns hold many ties (signed zeros
+# compare equal), mixed with arbitrary non-NaN floats.
+TIE_VALUES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.inf])
+METRIC_VALUES = st.one_of(TIE_VALUES, st.floats(allow_nan=False))
+
+
+def metric_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=METRIC_VALUES)
+
+
+class TestFirstMin:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data(), st.sampled_from([1, 2, 3, 4, 8, 16, 64]), st.integers(1, 64))
+    def test_matches_min_and_argmin(self, data, rows, n):
+        v = data.draw(metric_arrays((rows, n)))
+        vmin, idx = first_min(v)
+        assert np.array_equal(vmin, v.min(axis=0))
+        assert np.array_equal(idx, v.argmin(axis=0))
+        assert idx.dtype == np.intp
+
+
+def brute_first_pair(blocks):
+    """Per frame, the pair (i, j) that sorts first by (value, i, j)."""
+    n = blocks[0].shape[1]
+    return [
+        min((float(v[j, f]), i, j) for i, v in enumerate(blocks) for j in range(v.shape[0]))[1:]
+        for f in range(n)
+    ]
+
+
+def pairs(best):
+    return list(zip(*(a.tolist() for a in best)))
+
+
+class TestFirstPairMin:
+    def test_tie_across_blocks_keeps_the_earlier_block(self):
+        blocks = [np.array([[3.0], [1.0]]), np.array([[1.0], [5.0]]), np.array([[4.0], [1.0]])]
+        assert pairs(first_pair_min(blocks)) == [(0, 1)] == brute_first_pair(blocks)
+
+    def test_tie_within_a_block_keeps_the_smaller_j(self):
+        blocks = [np.array([[3.0], [2.0]]), np.array([[5.0], [1.0], [-0.0], [0.0], [0.0]])]
+        assert pairs(first_pair_min(blocks)) == [(1, 2)] == brute_first_pair(blocks)
+
+    def test_all_equal_blocks_give_the_first_pair(self):
+        blocks = [np.full((4, 3), 7.0) for _ in range(4)]
+        assert pairs(first_pair_min(blocks)) == [(0, 0)] * 3 == brute_first_pair(blocks)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data(), st.integers(1, 5), st.integers(1, 5), st.integers(1, 8))
+    def test_matches_a_sort_by_value_then_indices(self, data, count, rows, n):
+        blocks = [data.draw(metric_arrays((rows, n))) for _ in range(count)]
+        assert pairs(first_pair_min(blocks)) == brute_first_pair(blocks)
 
 
 class TestQr2x3:
