@@ -19,15 +19,14 @@ from .destination import (
     Branch,
     DecodeInput,
     DecodeOutput,
-    EvalCounter,
     HrOrthogonalityError,
     decode_frame,
     fast_decode,
+    joint_min_distance,
     metric_m1,
     metric_m2,
     metric_m3,
     metric_m4,
-    min_euclidean_decode,
     novel_decode_exhaustive,
     phi_metrics,
 )

@@ -4,7 +4,8 @@ In this scheme the relay forwards a complex linear combination
 x_A + theta * x_B of its decoded pair instead of a many-to-one map, so its
 transmit constellation has M^2 points.  The destination jointly decodes
 both phases by minimum squared distance, assuming the relay forwarded its
-hypothesised pair.
+hypothesised pair: it is ``destination.joint_min_distance`` over the table
+``CfncConfig.relay_points``.
 
 Reconstruction choices (recorded in sweep metadata):
 
@@ -26,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .destination import joint_min_distance
-from .scheme import SchemeConstants
 from .signalset import SignalSet
 
 
@@ -56,12 +55,11 @@ DEFAULT_THETA = cmath.exp(1j * math.pi / 4.0)
 
 def check_cfnc_uniqueness(s: SignalSet, theta: complex, tol: float = 1e-9) -> bool:
     """True iff all M^2 combined points x_a + theta*x_b are distinct."""
-    sums = [xa + theta * xb for xa in s.points for xb in s.points]
-    for i in range(len(sums)):
-        for j in range(i + 1, len(sums)):
-            if abs(sums[i] - sums[j]) <= tol:
-                return False
-    return True
+    p = np.asarray(s.points, dtype=np.complex128)
+    sums = (p[:, None] + theta * p[None, :]).ravel()
+    dist = np.abs(sums[:, None] - sums[None, :])
+    np.fill_diagonal(dist, np.inf)
+    return bool((dist > tol).all())
 
 
 def make_cfnc_config(s: SignalSet, theta: complex = DEFAULT_THETA) -> CfncConfig:
@@ -70,13 +68,3 @@ def make_cfnc_config(s: SignalSet, theta: complex = DEFAULT_THETA) -> CfncConfig
         raise ValueError(f"theta={theta!r} collapses distinct pairs on this constellation")
     mean_energy = sum(abs(xa + theta * xb) ** 2 for xa in s.points for xb in s.points) / s.m**2
     return CfncConfig(theta=theta, power_norm=1.0 / math.sqrt(mean_energy))
-
-
-def cfnc_destination_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cfg: CfncConfig, counter=None):
-    """Joint two-phase minimum-distance decoding of a batch of frames.
-
-    Each hypothesis assumes the relay combined exactly that pair.  Ties
-    resolve to the smallest (index_a, index_b); the branch is always the
-    trust-the-relay hypothesis since the baseline has no other.
-    """
-    return joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k, pts, cfg.relay_points(pts), counter)

@@ -2,9 +2,11 @@
 
 Three decoders share the same frame inputs:
 
-* ``min_euclidean_decode`` -- joint minimum squared Euclidean distance over
-  both phases, trusting the relay blindly.  Loses a diversity order when
-  the relay forwards a wrong network-coded symbol.
+* ``joint_min_distance`` -- joint minimum squared Euclidean distance over
+  both phases, trusting the relay blindly: each hypothesised pair assumes
+  the relay sent its entry of the relay-point table.  It serves both the
+  Latin-square min-euclid decoder, which loses a diversity order when the
+  relay forwards a wrong network-coded symbol, and the cfnc baseline.
 * ``novel_decode_exhaustive`` -- relay-error-aware rule: per candidate pair
   it takes the smaller of the trust-the-relay metric m1 and the
   relay-error metric m2 penalised by log(es), searching all relay symbols
@@ -15,11 +17,12 @@ Three decoders share the same frame inputs:
   channel entry r13 to vanish and decouples the x_A and x_R searches.
 
 Each decoder has one implementation, which works on a batch of frames
-(arrays with one entry per frame); ``decode_frame`` runs any of them on a
-single ``DecodeInput``.  The scalar ``novel_decode_exhaustive`` and the
-metric functions are kept as the independent reference that the batch
-decoders are tested against; ``novel_decode_exhaustive_batch`` is the
-exhaustive rule as sweeps run it.
+(arrays with one entry per frame) and takes the relay table it reads from
+``SweepSpec.relay_tables``; ``decode_frame`` runs any of them on a single
+``DecodeInput``.  The scalar ``novel_decode_exhaustive`` and the metric
+functions are kept as the independent reference that the batch decoders
+are tested against; ``novel_decode_exhaustive_batch`` is the exhaustive
+rule as sweeps run it.
 
 log(es) is the natural logarithm: the metrics are Gaussian
 log-likelihoods, so base e is the only consistent reading.  Both aware
@@ -60,16 +63,6 @@ class Branch(enum.Enum):
 
     RELAY_CORRECT = "relay-correct-hypothesis"
     RELAY_ERROR = "relay-error-hypothesis"
-
-
-@dataclass
-class EvalCounter:
-    """Counts candidate-metric evaluations, for complexity measurements."""
-
-    n: int = 0
-
-    def add(self, k: int) -> None:
-        self.n += k
 
 
 @dataclass(frozen=True)
@@ -183,7 +176,7 @@ def _pairs(zs) -> list[tuple[float, float]]:
     return [(z.real, z.imag) for z in zs]
 
 
-def novel_decode_exhaustive(inp: DecodeInput, counter: EvalCounter | None = None) -> DecodeOutput:
+def novel_decode_exhaustive(inp: DecodeInput) -> DecodeOutput:
     """Relay-error-aware decoding by direct evaluation (O(M^3) work).
 
     Minimises min(m1, log(es) + m2) over all pairs.  The branch reported
@@ -201,7 +194,6 @@ def novel_decode_exhaustive(inp: DecodeInput, counter: EvalCounter | None = None
     _require_unit_snr(inp.constants)
     ln_es = math.log(inp.constants.es)
     a1, b1, a2, b2, r2 = _phase_terms(inp)
-    m = inp.signal_set.m
     u1 = _pairs(inp.y_d1 - z for z in a1)
     u2 = _pairs(inp.y_d2 - z for z in a2)
     rel = _pairs(r2)
@@ -250,8 +242,6 @@ def novel_decode_exhaustive(inp: DecodeInput, counter: EvalCounter | None = None
         if mj < best_m:
             best_m = mj
             pick = (ja, ib, br)
-    if counter is not None:
-        counter.add(m * m * m)
     return DecodeOutput(*pick)
 
 
@@ -286,10 +276,12 @@ def phi_metrics(
 
 # ---------------------------------------------------------------------------
 # Batch decoders.  Arguments are arrays with one entry per frame, then the
-# constants, the constellation points and the relay-map cells; each decoder
-# returns (index_a, index_b, relay_correct_branch) arrays.  Per-candidate
-# terms and metrics are candidate-major, (M, n), so every candidate's vector
-# is contiguous.
+# constants, the constellation points and one of ``SweepSpec.relay_tables``:
+# the code table (the relay-map cells) for the two aware decoders, the
+# relay-point table for ``joint_min_distance``.  Each decoder returns
+# (index_a, index_b, relay_correct_branch) arrays.  Per-candidate terms and
+# metrics are candidate-major, (M, n), so every candidate's vector is
+# contiguous.
 
 
 def role_swap(k: SchemeConstants) -> bool:
@@ -311,7 +303,7 @@ def role_swap(k: SchemeConstants) -> bool:
     )
 
 
-def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counter: EvalCounter | None = None):
+def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells):
     """O(M^2) implementation of the relay-error-aware decoder.
 
     The 'first' user occupies the resolved (upper-triangular) coordinate of
@@ -357,8 +349,6 @@ def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counte
         best_first = np.where(upd, aj, best_first)
         best_second = np.where(upd, jb, best_second)
         best_correct = np.where(upd, correct, best_correct)
-    if counter is not None:
-        counter.add(2 * m * m * n)
     if swap:
         return best_second, best_first, best_correct
     return best_first, best_second, best_correct
@@ -375,9 +365,7 @@ def _source_terms(h_ad, h_bd, k: SchemeConstants, pts):
     )
 
 
-def novel_decode_exhaustive_batch(
-    y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counter: EvalCounter | None = None
-):
+def novel_decode_exhaustive_batch(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells):
     """``novel_decode_exhaustive`` on a batch of frames (O(M^3) work).
 
     m3 = min(m1, m2) is computed as p1 + (phase-2 residual minimised over
@@ -407,8 +395,6 @@ def novel_decode_exhaustive_batch(
         upd3 = m3 < best3
         best3 = np.where(upd3, m3, best3)
         arg3 = np.where(upd3, ia, arg3)
-    if counter is not None:
-        counter.add(m * m * m * n)
 
     pen = best3 + ln_es
     correct = best1 < pen
@@ -418,9 +404,7 @@ def novel_decode_exhaustive_batch(
     return np.where(correct, arg1, arg3)[jb, frames], jb, correct[jb, frames]
 
 
-def joint_min_distance(
-    y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, relay_points, counter: EvalCounter | None = None
-):
+def joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, relay_points):
     """Joint two-phase minimum-distance search over all M^2 pairs, each
     hypothesis assuming the relay sent ``relay_points[index_a, index_b]``.
 
@@ -434,28 +418,20 @@ def joint_min_distance(
     best_a, best_b = first_pair_min(
         sqdist(y1 - a1t[ia], b1t) + sqdist(y2 - a2t[ia] - b2t, symbol_terms(gr, relay_points[ia])) for ia in range(m)
     )
-    if counter is not None:
-        counter.add(m * m * n)
     return best_a, best_b, np.ones(n, dtype=bool)
 
 
-def min_euclidean_decode(
-    y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells, counter: EvalCounter | None = None
-):
-    """Joint minimum-distance decoding that assumes the relay forwarded the
-    network-coded symbol of each hypothesised pair."""
-    return joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k, pts, pts[cells], counter)
-
-
-def decode_frame(decoder, inp: DecodeInput, relay=None, counter: EvalCounter | None = None) -> DecodeOutput:
+def decode_frame(decoder, inp: DecodeInput, relay=None) -> DecodeOutput:
     """Run a batch decoder on one frame, as a batch of one.
 
-    ``relay`` is the decoder's relay argument; it defaults to the frame's
-    relay-map cells (the cfnc baseline passes its ``CfncConfig``).
+    ``relay`` is the decoder's relay table; it defaults to the frame's
+    relay-map cells, the code table ``fast_decode`` and
+    ``novel_decode_exhaustive_batch`` read.  ``joint_min_distance`` takes
+    the relay-point table instead.
     """
     if relay is None:
         relay = np.asarray(inp.relay_map.cells, dtype=np.int64)
     one = (np.array([z], dtype=np.complex128) for z in (inp.y_d1, inp.y_d2, inp.h_ad, inp.h_bd, inp.h_rd))
     pts = np.asarray(inp.signal_set.points, dtype=np.complex128)
-    a, b, correct = decoder(*one, inp.constants, pts, relay, counter)
+    a, b, correct = decoder(*one, inp.constants, pts, relay)
     return DecodeOutput(int(a[0]), int(b[0]), Branch.RELAY_CORRECT if correct[0] else Branch.RELAY_ERROR)

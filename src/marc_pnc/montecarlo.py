@@ -51,12 +51,11 @@ from .destination import (
     DecodeInput,
     fast_decode,
     joint_min_distance,
-    min_euclidean_decode,
     novel_decode_exhaustive,
     novel_decode_exhaustive_batch,
     role_swap,
 )
-from .netmap import LatinSquare, modulo_latin, xor_latin
+from .netmap import LATIN_MAPS, MAP_KINDS, LatinSquare
 from .numerics import RngStream, complex_gaussian, philox_bits
 from .relay import relay_ml_decode, relay_ml_decode_batch
 from .scheme import EXAMPLE1_ABCD, SchemeConstants, example1_constants
@@ -66,7 +65,6 @@ from .scheme import EXAMPLE1_ABCD, SchemeConstants, example1_constants
 from .scheme import check_hr_orthogonal, weight_matrices  # noqa: F401
 from .signalset import SignalSet, make_psk
 
-MAP_KINDS = ("modulo", "xor")
 DECODERS = ("min-euclid", "novel-exhaustive", "fast", "cfnc")
 
 #: Engine partition constants.  Fixed (not configurable) so that results
@@ -134,7 +132,7 @@ class SweepSpec:
         return make_psk(self.m)
 
     def relay_map(self) -> LatinSquare:
-        return modulo_latin(self.m) if self.map_kind == "modulo" else xor_latin(self.m)
+        return LATIN_MAPS[self.map_kind](self.m)
 
     def cfnc_config(self) -> CfncConfig:
         return make_cfnc_config(self.signal_set(), self.theta)
@@ -155,22 +153,6 @@ class SweepSpec:
 # Aggregated statistics
 
 
-@dataclass
-class _Counts:
-    trials: int = 0
-    errors: int = 0
-    errors_a: int = 0
-    errors_b: int = 0
-    relay_wrong: int = 0
-    errors_relay_correct: int = 0
-    errors_relay_wrong: int = 0
-
-    def __iadd__(self, other: "_Counts") -> "_Counts":
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
-
 #: The probabilities a SepPoint reports, in CSV column order, each mapped to
 #: the counter of the events it counts.
 PROBABILITY_EVENTS = {
@@ -188,13 +170,13 @@ class SepPoint:
     """Error counters for one SNR point; probabilities are derived views."""
 
     snr_db: float
-    trials: int
-    errors: int
-    errors_a: int
-    errors_b: int
-    relay_wrong: int
-    errors_relay_correct: int
-    errors_relay_wrong: int
+    trials: int = 0
+    errors: int = 0
+    errors_a: int = 0
+    errors_b: int = 0
+    relay_wrong: int = 0
+    errors_relay_correct: int = 0
+    errors_relay_wrong: int = 0
 
     @property
     def sep_joint(self) -> float:
@@ -222,6 +204,11 @@ class SepPoint:
     @property
     def p_err_rw(self) -> float | None:
         return self.errors_relay_wrong / self.relay_wrong if self.relay_wrong > 0 else None
+
+    def __add__(self, other: "SepPoint") -> "SepPoint":
+        """The counters of both, summed, at this point's SNR."""
+        summed = {f: getattr(self, f) + getattr(other, f) for f in ("trials", *PROBABILITY_EVENTS.values())}
+        return SepPoint(snr_db=self.snr_db, **summed)
 
     def value(self, which: str) -> float | None:
         return getattr(self, which)
@@ -312,7 +299,7 @@ def transmit(d: BatchDraws, k: SchemeConstants, pts, code, relay_pts) -> Receive
     return Received(y_r, y_d1, y_d2, ra, rb, nc_wrong)
 
 
-def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index: int, n: int) -> _Counts:
+def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index: int, n: int) -> SepPoint:
     """Simulate one batch of frames and return its integer counters.
 
     The batch is drawn whole; the rest of the pipeline runs CHUNK_SIZE
@@ -324,25 +311,25 @@ def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index
     pts = np.asarray(spec.signal_set().points, dtype=np.complex128)
     code, relay_pts = spec.relay_tables()
     draws = draw_batch(gen, spec.profile, spec.m, n)
-    counts = _Counts()
+    counts = SepPoint(snr_db)
     for start in range(0, n, CHUNK_SIZE):
         d = draws.chunk(start, start + CHUNK_SIZE)
         rx = transmit(d, k, pts, code, relay_pts)
         frames = (rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
-        # A Latin-square relay's code table is its cells.
+        # The aware decoders read the Latin-square code table (its cells);
+        # min-euclid and cfnc trust the relay's point table.
         if spec.decoder == "fast":
             da, db, _ = fast_decode(*frames, code)
         elif spec.decoder == "novel-exhaustive":
             da, db, _ = novel_decode_exhaustive_batch(*frames, code)
-        elif spec.decoder == "min-euclid":
-            da, db, _ = min_euclidean_decode(*frames, code)
-        else:  # cfnc: relay_pts holds its combined points, one per pair
+        else:
             da, db, _ = joint_min_distance(*frames, relay_pts)
 
         err_a = da != d.ia
         err_b = db != d.ib
         err = err_a | err_b
-        counts += _Counts(
+        counts += SepPoint(
+            snr_db=snr_db,
             trials=len(d.ia),
             errors=int(np.count_nonzero(err)),
             errors_a=int(np.count_nonzero(err_a)),
@@ -387,7 +374,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, progress=None) -> Sep
     points = []
     with ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else contextlib.nullcontext() as pool:
         for pidx, snr_db in enumerate(spec.snr_points_db):
-            counts = _Counts()
+            counts = SepPoint(snr_db)
             planned = 0
             batch_index = 0
             while planned < spec.trials_per_point and counts.errors < spec.error_target:
@@ -405,7 +392,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, progress=None) -> Sep
                     results = [simulate_batch(spec, snr_db, pidx, b, n) for b, n in round_batches]
                 for r in results:
                     counts += r
-            points.append(SepPoint(snr_db=snr_db, **dataclasses.asdict(counts)))
+            points.append(counts)
             if progress is not None:
                 progress(points[-1])
     return SepCurve(spec=spec, points=tuple(points))
@@ -462,7 +449,7 @@ def equivalence_battery(
     if map_kind not in MAP_KINDS:
         raise ValueError(f"map_kind must be one of {MAP_KINDS}, got {map_kind!r}")
     s = make_psk(m)
-    f = modulo_latin(m) if map_kind == "modulo" else xor_latin(m)
+    f = LATIN_MAPS[map_kind](m)
     pts = np.asarray(s.points, dtype=np.complex128)
     cells = np.asarray(f.cells, dtype=np.int64)
     frames = 0

@@ -54,6 +54,11 @@ def xor_latin(m: int) -> LatinSquare:
     return LatinSquare(tuple(tuple(r ^ c for c in range(m)) for r in range(m)))
 
 
+#: The relay maps a sweep can name, by kind.
+LATIN_MAPS = {"modulo": modulo_latin, "xor": xor_latin}
+MAP_KINDS = tuple(LATIN_MAPS)
+
+
 def check_exclusive_law(cells) -> bool:
     """True iff the map separates both arguments (i.e. is a Latin square).
 

@@ -25,6 +25,33 @@ def acceptance_report():
     return record
 
 
+@pytest.fixture
+def scored_metrics(monkeypatch):
+    """``scored_metrics(decoder, inp, relay=None)`` decodes one frame with
+    ``decode_frame`` and returns how many candidate metrics the batch
+    kernel scored: the elements of every ``sqdist`` result it computed."""
+    from marc_pnc import destination
+    from marc_pnc.numerics import sqdist
+
+    scored = 0
+
+    def counting_sqdist(z, t):
+        nonlocal scored
+        out = sqdist(z, t)
+        scored += out.size
+        return out
+
+    monkeypatch.setattr(destination, "sqdist", counting_sqdist)
+
+    def count(decoder, inp, relay=None) -> int:
+        nonlocal scored
+        scored = 0
+        destination.decode_frame(decoder, inp, relay)
+        return scored
+
+    return count
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _ACCEPTANCE_LINES:
         return

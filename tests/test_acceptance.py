@@ -14,7 +14,7 @@ import pytest
 
 from marc_pnc.channel import PROFILE_PRESETS, sample_channel
 from marc_pnc.cli import SCENARIOS, snr_at_sep
-from marc_pnc.destination import DecodeInput, EvalCounter, decode_frame, fast_decode, novel_decode_exhaustive
+from marc_pnc.destination import DecodeInput, fast_decode, novel_decode_exhaustive_batch
 from marc_pnc.diversity import estimate_diversity, probability_window
 from marc_pnc.montecarlo import SweepSpec, equivalence_battery, run_sweep
 from marc_pnc.netmap import check_exclusive_law, modulo_latin, xor_latin
@@ -236,7 +236,7 @@ class TestCriterion7BaselineComparison:
 
 
 class TestCriterion8ComplexityScaling:
-    def test_instrumented_candidate_counts(self, acceptance_report):
+    def test_instrumented_candidate_counts(self, acceptance_report, scored_metrics):
         counts = {}
         for m in (4, 8, 16):
             s = make_psk(m)
@@ -251,11 +251,8 @@ class TestCriterion8ComplexityScaling:
                     y_d1=rng.gaussian(2.0), y_d2=rng.gaussian(2.0), h_ad=h.h_ad, h_bd=h.h_bd,
                     h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f,
                 )
-                cf, ce = EvalCounter(), EvalCounter()
-                decode_frame(fast_decode, inp, counter=cf)
-                novel_decode_exhaustive(inp, counter=ce)
-                fast_n += cf.n
-                exh_n += ce.n
+                fast_n += scored_metrics(fast_decode, inp)
+                exh_n += scored_metrics(novel_decode_exhaustive_batch, inp)
             counts[m] = (fast_n / frames, exh_n / frames)
         fast_ratios = (counts[8][0] / counts[4][0], counts[16][0] / counts[8][0])
         exh_ratios = (counts[8][1] / counts[4][1], counts[16][1] / counts[8][1])

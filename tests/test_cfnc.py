@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,12 +7,11 @@ import pytest
 from marc_pnc.cfnc import (
     DEFAULT_THETA,
     CfncConfig,
-    cfnc_destination_decode,
     check_cfnc_uniqueness,
     make_cfnc_config,
 )
 from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS, sample_channel
-from marc_pnc.destination import DecodeInput, decode_frame
+from marc_pnc.destination import DecodeInput, decode_frame, joint_min_distance
 from marc_pnc.montecarlo import BatchDraws, SweepSpec, draw_batch, transmit
 from marc_pnc.numerics import RngStream, philox_bits
 from marc_pnc.scheme import example1_constants
@@ -26,8 +26,9 @@ CFNC4 = SweepSpec(snr_points_db=(0.0,), trials_per_point=1, profile=PROFILE_PRES
 def relay_and_decode(d: BatchDraws, k):
     """Relay and decode frames through the sweep engine's cfnc path;
     returns what the relay and the destination decided."""
-    rx = transmit(d, k, PTS4, *CFNC4.relay_tables())
-    da, db, _ = cfnc_destination_decode(rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, PTS4, CFNC4.cfnc_config())
+    code, relay_pts = CFNC4.relay_tables()
+    rx = transmit(d, k, PTS4, code, relay_pts)
+    da, db, _ = joint_min_distance(rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, PTS4, relay_pts)
     return rx, da, db
 
 
@@ -62,6 +63,23 @@ class TestUniqueness:
             CfncConfig(theta=2.0 + 0.0j, power_norm=1.0)
         with pytest.raises(ValueError, match="power_norm"):
             CfncConfig(theta=1j, power_norm=0.0)
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    @pytest.mark.parametrize("case", ["theta=1", "theta=1,tol=0", "default-theta", "half-step"])
+    def test_matches_pairwise_scan(self, m, case):
+        theta, tol, distinct = {
+            # (a, b) and (b, a) combine alike, exactly: even tol = 0 sees it
+            "theta=1": (1.0 + 0.0j, 1e-9, False),
+            "theta=1,tol=0": (1.0 + 0.0j, 0.0, False),
+            # the default rotates 8-PSK and 16-PSK onto themselves
+            "default-theta": (DEFAULT_THETA, 1e-9, m < 8),
+            "half-step": (cmath.exp(1j * math.pi / m), 1e-9, True),
+        }[case]
+        s = make_psk(m)
+        sums = [xa + theta * xb for xa in s.points for xb in s.points]
+        pairwise = all(abs(sums[i] - sums[j]) > tol for i in range(m * m) for j in range(i + 1, m * m))
+        assert pairwise == distinct
+        assert check_cfnc_uniqueness(s, theta, tol) == distinct
 
 
 class TestRelayConstellation:
@@ -115,7 +133,7 @@ class TestCfncFrames:
             y_d1 = rng.gaussian(4.0)
             y_d2 = rng.gaussian(4.0)
             inp = DecodeInput(y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=S4)
-            out = decode_frame(cfnc_destination_decode, inp, relay=cfg)
+            out = decode_frame(joint_min_distance, inp, relay=cfg.relay_points(S4.points))
             assert (out.xa_idx, out.xb_idx) == destination_oracle(y_d1, y_d2, h, k, S4, cfg)
 
     def test_noisy_frames_mostly_correct_at_high_snr(self):

@@ -8,16 +8,16 @@ from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS, phase1, phase2
 from marc_pnc.destination import (
     Branch,
     DecodeInput,
-    EvalCounter,
     HrOrthogonalityError,
     decode_frame,
     fast_decode,
+    joint_min_distance,
     metric_m1,
     metric_m2,
     metric_m3,
     metric_m4,
-    min_euclidean_decode,
     novel_decode_exhaustive,
+    novel_decode_exhaustive_batch,
     phi_metrics,
 )
 from marc_pnc.netmap import modulo_latin, xor_latin
@@ -33,6 +33,13 @@ MOD4 = modulo_latin(4)
 
 def make_input(y_d1, y_d2, h, k, s=S4, f=MOD4) -> DecodeInput:
     return DecodeInput(y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f)
+
+
+def relay_points(inp: DecodeInput) -> np.ndarray:
+    """The point the frame's relay sends for each decoded pair: the
+    network-coded symbol of its Latin-square map."""
+    pts = np.asarray(inp.signal_set.points, dtype=np.complex128)
+    return pts[np.asarray(inp.relay_map.cells)]
 
 
 def random_decode_input(rng: RngStream, es: float, k=None, profile=None, force_relay_error=False, s=S4, f=MOD4):
@@ -210,7 +217,7 @@ class TestMinEuclideanDecode:
         for ia in range(4):
             for ib in range(4):
                 inp = noiseless_relay_correct_input(ia, ib, es=5.0)
-                out = decode_frame(min_euclidean_decode, inp)
+                out = decode_frame(joint_min_distance, inp, relay=relay_points(inp))
                 assert (out.xa_idx, out.xb_idx) == (ia, ib)
                 assert out.branch is Branch.RELAY_CORRECT
 
@@ -223,14 +230,14 @@ class TestMinEuclideanDecode:
                 for ib in range(4):
                     rows.append((metric_m1(inp, S4.points[ia], S4.points[ib]), ia, ib))
             rows.sort()
-            out = decode_frame(min_euclidean_decode, inp)
+            out = decode_frame(joint_min_distance, inp, relay=relay_points(inp))
             assert (out.xa_idx, out.xb_idx) == (rows[0][1], rows[0][2])
 
     def test_works_below_unit_energy(self):
         rng = RngStream(107, 0)
         k = example1_constants(0.25)
         inp, _, _ = random_decode_input(rng, es=0.25, k=k)
-        decode_frame(min_euclidean_decode, inp)  # no exception
+        decode_frame(joint_min_distance, inp, relay=relay_points(inp))  # no exception
 
 
 def plain_per_pair_scan(inp: DecodeInput):
@@ -287,7 +294,7 @@ class TestNovelDecodeExhaustive:
 
         out = novel_decode_exhaustive(inp)
         assert (out.xa_idx, out.xb_idx, out.branch) == (ia, ib, Branch.RELAY_ERROR)
-        naive = decode_frame(min_euclidean_decode, inp)
+        naive = decode_frame(joint_min_distance, inp, relay=relay_points(inp))
         assert (naive.xa_idx, naive.xb_idx) == (1, 0)
 
     def test_matches_metric_level_oracle(self):
@@ -436,7 +443,7 @@ class TestPhiMetrics:
 
 class TestEvalCounts:
     @pytest.mark.parametrize("m", [4, 8, 16])
-    def test_counts_follow_complexity_orders(self, m):
+    def test_counts_follow_complexity_orders(self, m, scored_metrics):
         s = make_psk(m)
         f = modulo_latin(m)
         k = example1_constants(10.0)
@@ -444,10 +451,9 @@ class TestEvalCounts:
         h = sample_channel(rng, PROFILE_PRESETS["equal"])
         inp = DecodeInput(y_d1=rng.gaussian(1.0), y_d2=rng.gaussian(1.0), h_ad=h.h_ad, h_bd=h.h_bd,
                           h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f)
-        c_fast, c_exh, c_naive = EvalCounter(), EvalCounter(), EvalCounter()
-        decode_frame(fast_decode, inp, counter=c_fast)
-        novel_decode_exhaustive(inp, counter=c_exh)
-        decode_frame(min_euclidean_decode, inp, counter=c_naive)
-        assert c_fast.n == 2 * m * m
-        assert c_exh.n == m**3
-        assert c_naive.n == m * m
+        # per candidate x_B: phi1 and phi3 over every x_A / relay symbol
+        assert scored_metrics(fast_decode, inp) == 2 * m * m
+        # per x_A: p1 over every x_B, p2 over every (x_B, relay symbol)
+        assert scored_metrics(novel_decode_exhaustive_batch, inp) == m**3 + m * m
+        # per pair: one phase-1 and one phase-2 residual
+        assert scored_metrics(joint_min_distance, inp, relay_points(inp)) == 2 * m * m

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from marc_pnc import montecarlo
-from marc_pnc.cfnc import cfnc_destination_decode
 from marc_pnc.channel import PROFILE_PRESETS, phase1, phase2
 from marc_pnc.destination import (
     Branch,
     DecodeInput,
     HrOrthogonalityError,
     fast_decode,
+    joint_min_distance,
     metric_m1,
-    min_euclidean_decode,
     novel_decode_exhaustive,
     novel_decode_exhaustive_batch,
 )
@@ -109,14 +108,16 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
     cfnc_spec = dataclasses.replace(spec, decoder="cfnc")
     cfg = cfnc_spec.cfnc_config()
     d = draw_batch(np.random.Generator(philox_bits(123, 9)), EQUAL, spec.m, n)
-    y_r, y_d1, y_d2, ra, rb, nc_wrong = transmit(d, k, pts, *spec.relay_tables())
-    combined = transmit(d, k, pts, *cfnc_spec.relay_tables())
+    code, relay_pts = spec.relay_tables()
+    cfnc_code, cfnc_pts = cfnc_spec.relay_tables()
+    y_r, y_d1, y_d2, ra, rb, nc_wrong = transmit(d, k, pts, code, relay_pts)
+    combined = transmit(d, k, pts, cfnc_code, cfnc_pts)
 
     frames = (y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
     fast = np.stack(fast_decode(*frames, cells), axis=1).tolist()
     exhaustive = np.stack(novel_decode_exhaustive_batch(*frames, cells), axis=1).tolist()
-    naive = np.stack(min_euclidean_decode(*frames, cells)[:2], axis=1).tolist()
-    combining = np.stack(cfnc_destination_decode(*frames, cfg)[:2], axis=1).tolist()
+    naive = np.stack(joint_min_distance(*frames, relay_pts)[:2], axis=1).tolist()
+    combining = np.stack(joint_min_distance(*frames, cfnc_pts)[:2], axis=1).tolist()
 
     def close(z, want):
         # transmit associates the products differently, so not bit-exact

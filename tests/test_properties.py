@@ -24,14 +24,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marc_pnc.cfnc import cfnc_destination_decode, make_cfnc_config
+from marc_pnc.cfnc import make_cfnc_config
 from marc_pnc.channel import PROFILE_PRESETS, db_to_linear
 from marc_pnc.destination import (
     Branch,
     DecodeInput,
     fast_decode,
+    joint_min_distance,
     metric_m1,
-    min_euclidean_decode,
     novel_decode_exhaustive,
     novel_decode_exhaustive_batch,
     role_swap,
@@ -130,8 +130,8 @@ def test_relay_and_joint_decoders_equal_scalar_references(abcd, m, map_kind, snr
     rx = transmit(d, k, pts, *spec.relay_tables())
 
     frames = (rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
-    naive = np.stack(min_euclidean_decode(*frames, cells)[:2], axis=1).tolist()
-    combining = np.stack(cfnc_destination_decode(*frames, cfg)[:2], axis=1).tolist()
+    naive = np.stack(joint_min_distance(*frames, pts[cells])[:2], axis=1).tolist()
+    combining = np.stack(joint_min_distance(*frames, cfg.relay_points(pts))[:2], axis=1).tolist()
     for i in range(FRAMES):
         _, _, h, _, _, _ = d.frame(i)
         assert relay_ml_decode(complex(rx.y_r[i]), h, k, s) == (int(rx.relay_a[i]), int(rx.relay_b[i])), f"frame {i}"
