@@ -409,8 +409,11 @@ def joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, relay_
     hypothesis assuming the relay sent ``relay_points[index_a, index_b]``.
 
     Pair ties resolve to the smallest (index_a, index_b) lexicographically;
-    every frame reports the trust-the-relay branch.
+    every frame reports the trust-the-relay branch.  An integer code table
+    in place of the complex relay points raises ``TypeError``.
     """
+    if not np.iscomplexobj(relay_points):
+        raise TypeError(f"relay_points must be the complex relay-point table, got dtype {np.asarray(relay_points).dtype}")
     m = len(pts)
     n = len(y1)
     a1t, b1t, a2t, b2t = _source_terms(h_ad, h_bd, k, pts)

@@ -1,11 +1,12 @@
 """Monte Carlo engine: frame simulation, SNR sweeps, error statistics.
 
-``run_sweep`` partitions trials into fixed-size batches; batch b of SNR
-point p draws from a counter-based stream keyed by (seed, p, b), and
-per-batch results are integer counters summed in batch order.  Results are
-therefore byte-identical for a given spec and seed no matter how many
-worker threads run the batches, and a point stops early (only at round
-boundaries) once enough errors have accumulated.
+``run_sweep`` splits each point's trials into batches of BATCH_SIZE frames
+and one last partial batch of the remainder, if any; batch b of SNR point p
+draws from a counter-based stream keyed by (seed, p, b), and per-batch
+results are integer counters summed in batch order.  Batches run in rounds
+of ROUND_WIDTH, and a point stops early only between rounds, once enough
+errors have accumulated.  Results are therefore byte-identical for a given
+spec and seed no matter how many worker threads run the batches.
 
 Within a batch, the draws are made for the whole batch at once, so the
 stream is consumed the same way whatever happens next.  Phase 1, relay
@@ -32,6 +33,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -366,35 +368,31 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, progress=None) -> Sep
     """Run the full sweep; deterministic for a given spec regardless of
     thread count.
 
-    Each point processes fixed-size batches in rounds of ROUND_WIDTH; the
-    early-stop check (errors >= spec.error_target) happens only between
-    rounds, so the set of simulated batches is a pure function of the spec.
+    Every point has the same batches: batch b holds
+    min(BATCH_SIZE, trials_per_point - b * BATCH_SIZE) frames, so all are
+    full but a last partial one.  They run in rounds of ROUND_WIDTH, and a
+    point stops only between rounds, once errors >= spec.error_target; so
+    the set of simulated batches is a pure function of the spec.
     """
+    full, rest = divmod(spec.trials_per_point, BATCH_SIZE)
+    sizes = [BATCH_SIZE] * full + ([rest] if rest else [])
     nthreads = thread_count(threads)
     points = []
+    # One thread runs the batches on the calling thread: a pool thread would
+    # allocate from another malloc arena.
     with ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else contextlib.nullcontext() as pool:
+        run = map if pool is None else pool.map
         for pidx, snr_db in enumerate(spec.snr_points_db):
             counts = SepPoint(snr_db)
-            planned = 0
-            batch_index = 0
-            while planned < spec.trials_per_point and counts.errors < spec.error_target:
-                round_batches: list[tuple[int, int]] = []
-                for _ in range(ROUND_WIDTH):
-                    if planned >= spec.trials_per_point:
-                        break
-                    nb = min(BATCH_SIZE, spec.trials_per_point - planned)
-                    round_batches.append((batch_index, nb))
-                    batch_index += 1
-                    planned += nb
-                if pool is not None and len(round_batches) > 1:
-                    results = list(pool.map(lambda bn: simulate_batch(spec, snr_db, pidx, bn[0], bn[1]), round_batches))
-                else:
-                    results = [simulate_batch(spec, snr_db, pidx, b, n) for b, n in round_batches]
-                for r in results:
+            for start in range(0, len(sizes), ROUND_WIDTH):
+                if counts.errors >= spec.error_target:
+                    break
+                stop = start + ROUND_WIDTH
+                for r in run(simulate_batch, repeat(spec), repeat(snr_db), repeat(pidx), range(start, stop), sizes[start:stop]):
                     counts += r
             points.append(counts)
             if progress is not None:
-                progress(points[-1])
+                progress(counts)
     return SepCurve(spec=spec, points=tuple(points))
 
 

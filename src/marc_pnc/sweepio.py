@@ -11,13 +11,12 @@ byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from . import __version__
-from .cfnc import DEFAULT_THETA
 from .channel import PROFILE_PRESETS, FadingProfile
 from .montecarlo import PROBABILITY_EVENTS, SepCurve, SweepSpec
-from .scheme import EXAMPLE1_ABCD
 
 CSV_HEADER = ",".join(("snr_db", *PROBABILITY_EVENTS, "trials"))
 
@@ -179,9 +178,9 @@ def parse_config(text: str) -> dict[str, str]:
 
 
 def spec_from_config(values: dict[str, str]) -> SweepSpec:
-    """Build a SweepSpec from config values; unspecified fields default to
-    the shipped scheme (4-PSK, modulo map, fast decoder, default constants,
-    all link variances 0 dB)."""
+    """Build a SweepSpec from config values.  The SNR grid defaults to
+    0,10,20,30 dB and the trial cap to 100000; every other field, and each
+    part of a-d and theta, that is left out keeps SweepSpec's default."""
 
     def get_float(key: str, default: float) -> float:
         return float(values[key]) if key in values else default
@@ -193,29 +192,26 @@ def spec_from_config(values: dict[str, str]) -> SweepSpec:
         profile = PROFILE_PRESETS[name]
     else:
         profile = FadingProfile.from_db(
-            ar=get_float("var_ar_db", 0.0),
-            br=get_float("var_br_db", 0.0),
-            ad=get_float("var_ad_db", 0.0),
-            bd=get_float("var_bd_db", 0.0),
-            rd=get_float("var_rd_db", 0.0),
+            **{link: float(values[f"var_{link}_db"]) for link in ("ar", "br", "ad", "bd", "rd") if f"var_{link}_db" in values}
         )
 
-    constants = tuple(
-        complex(get_float(f"{name}_re", z.real), get_float(f"{name}_im", z.imag))
-        for name, z in zip("abcd", EXAMPLE1_ABCD)
-    )
-    theta = complex(get_float("theta_re", DEFAULT_THETA.real), get_float("theta_im", DEFAULT_THETA.imag))
-
-    snr_points = tuple(float(v) for v in values.get("snr_db", "0,10,20,30").split(","))
+    defaults = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
+    given = {
+        field: cast(values[key])
+        for key, field, cast in (
+            ("m", "m", int), ("map", "map_kind", str), ("decoder", "decoder", str),
+            ("seed", "seed", int), ("error_target", "error_target", int),
+        )
+        if key in values
+    }
     return SweepSpec(
-        snr_points_db=snr_points,
+        snr_points_db=tuple(float(v) for v in values.get("snr_db", "0,10,20,30").split(",")),
         trials_per_point=int(values.get("trials", "100000")),
         profile=profile,
-        m=int(values.get("m", "4")),
-        map_kind=values.get("map", "modulo"),
-        decoder=values.get("decoder", "fast"),
-        constants=constants,
-        seed=int(values.get("seed", "0")),
-        theta=theta,
-        error_target=int(values.get("error_target", "10000")),
+        constants=tuple(
+            complex(get_float(f"{name}_re", z.real), get_float(f"{name}_im", z.imag))
+            for name, z in zip("abcd", defaults["constants"])
+        ),
+        theta=complex(get_float("theta_re", defaults["theta"].real), get_float("theta_im", defaults["theta"].imag)),
+        **given,
     )

@@ -239,6 +239,13 @@ class TestMinEuclideanDecode:
         inp, _, _ = random_decode_input(rng, es=0.25, k=k)
         decode_frame(joint_min_distance, inp, relay=relay_points(inp))  # no exception
 
+    def test_an_integer_code_table_is_rejected(self):
+        inp = noiseless_relay_correct_input(1, 2, es=5.0)
+        with pytest.raises(TypeError, match="relay_points"):
+            decode_frame(joint_min_distance, inp)  # the default relay table is the integer cells
+        with pytest.raises(TypeError, match="relay_points"):
+            decode_frame(joint_min_distance, inp, relay=np.asarray(inp.relay_map.cells, dtype=np.float64))
+
 
 def plain_per_pair_scan(inp: DecodeInput):
     """The literal rule from metric_m1/metric_m2: scan all pairs with x_B

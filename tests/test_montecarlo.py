@@ -214,7 +214,50 @@ class TestEquivalenceBattery:
         assert report.frames == 90 and report.mismatches == 0
 
 
+def record_batches(monkeypatch, errors_at=()):
+    """Replace ``simulate_batch`` with a fake that records each call's
+    (point, batch, n) and returns n trials, with 10 errors for a
+    (point, batch) in ``errors_at`` and none otherwise."""
+    calls = []
+
+    def fake(spec, snr_db, point, batch, n):
+        calls.append((point, batch, n))
+        return montecarlo.SepPoint(snr_db, trials=n, errors=10 if (point, batch) in errors_at else 0)
+
+    monkeypatch.setattr(montecarlo, "simulate_batch", fake)
+    return calls
+
+
 class TestRunSweep:
+    def test_batch_schedule_is_full_batches_then_the_remainder(self, monkeypatch):
+        calls = record_batches(monkeypatch)
+        spec = small_spec(snr_points_db=(0.0, 10.0), trials_per_point=5 * BATCH_SIZE + 123, error_target=10**9)
+        curve = run_sweep(spec)
+        per_point = [(b, BATCH_SIZE) for b in range(5)] + [(5, 123)]
+        assert calls == [(p, b, n) for p in (0, 1) for b, n in per_point]
+        assert [pt.trials for pt in curve.points] == [spec.trials_per_point] * 2
+
+    @pytest.mark.parametrize("crossed_at, batches", [(0, range(4)), (1, range(4)), (3, range(4)), (4, range(6))])
+    def test_a_point_stops_only_at_the_end_of_a_round(self, crossed_at, batches, monkeypatch):
+        # Rounds are batches 0-3 and 4-5: crossing the error target in a
+        # round still runs the rest of it, and the next point runs in full.
+        calls = record_batches(monkeypatch, errors_at={(0, crossed_at)})
+        spec = small_spec(snr_points_db=(0.0, 10.0), trials_per_point=5 * BATCH_SIZE + 123, error_target=10)
+        curve = run_sweep(spec)
+        sizes = [BATCH_SIZE] * 5 + [123]
+        assert calls == [(0, b, sizes[b]) for b in batches] + [(1, b, sizes[b]) for b in range(6)]
+        assert curve.points[0].errors == 10
+
+    def test_thread_count_does_not_change_the_batches(self, monkeypatch):
+        schedules = []
+        for threads in (1, 2):
+            calls = record_batches(monkeypatch, errors_at={(1, 2)})
+            spec = small_spec(snr_points_db=(0.0, 10.0), trials_per_point=9 * BATCH_SIZE + 1, error_target=10)
+            run_sweep(spec, threads=threads)
+            schedules.append(sorted(calls))
+        assert schedules[0] == schedules[1]
+        assert len(schedules[0]) == 10 + 4
+
     def test_trial_cap_respected_exactly(self):
         spec = small_spec(trials_per_point=BATCH_SIZE + 123, error_target=10**9)
         curve = run_sweep(spec)

@@ -94,6 +94,7 @@ class TestConfig:
         assert spec.map_kind == "modulo"
         assert spec.constants[0] == 1.0 + 0j
         assert spec.profile == FadingProfile.from_db()
+        assert spec_from_config({"snr_db": "5", "trials": "7"}) == SweepSpec((5.0,), 7, FadingProfile.from_db())
 
     def test_full_file(self):
         text = """
