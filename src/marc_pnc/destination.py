@@ -32,16 +32,16 @@ candidate-set rewrite m2 -> m3 to be valid) and enforce it at decode time.
 Tie-breaking is pinned so the fast and exhaustive decoders agree
 bit-for-bit:
 
-* every argmin scans symbol indices ascending and keeps the first strict
-  improvement: ``numerics.first_min`` within one array of candidates,
-  ``numerics.first_pair_min`` across a sequence of them;
-* candidate pairs are scanned with x_B outermost (mirroring the fast
-  algorithm's loop nesting), so pair ties resolve to the smallest
-  (index_b, index_a);
-* the branch comparison is strict: the relay-error branch wins exact ties.
-  At es = 1 the penalty is zero and the relay-error branch, whose metric
-  minimises over every relay symbol, can then never lose -- both decoders
-  deterministically label such frames ``RELAY_ERROR``.
+* every first minimum comes from one scan, ``numerics.first_min``: symbol
+  indices ascending, and a later one wins only by a strict improvement;
+* both aware decoders end in ``_pick_branch``, which takes the best x_A
+  per x_B and then the first x_B (mirroring the fast algorithm's loop
+  nesting), so pair ties resolve to the smallest (index_b, index_a);
+* ``_pick_branch`` holds the one strict branch comparison: the relay-error
+  branch wins exact ties.  At es = 1 the penalty is zero and the
+  relay-error branch, whose metric minimises over every relay symbol, can
+  then never lose -- both decoders deterministically label such frames
+  ``RELAY_ERROR``.
 """
 
 from __future__ import annotations
@@ -303,6 +303,19 @@ def role_swap(k: SchemeConstants) -> bool:
     )
 
 
+def _pick_branch(best1, arg1, best3, arg3, ln_es):
+    """The aware rule's last step.  Row j of each (M, n) argument is second
+    symbol j: its best trust-the-relay metric and best any-relay-symbol
+    metric, and the first symbols that reach them.  The strict comparison
+    with the log(es)-penalised metric picks each row's branch, then
+    ``first_min`` the row.  Returns (first, second, relay-correct) arrays."""
+    pen = best3 + ln_es
+    correct = best1 < pen
+    _, second = first_min(np.where(correct, best1, pen))
+    frames = np.arange(len(second))
+    return np.where(correct, arg1, arg3)[second, frames], second, correct[second, frames]
+
+
 def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells):
     """O(M^2) implementation of the relay-error-aware decoder.
 
@@ -327,31 +340,23 @@ def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells):
     t11 = symbol_terms(qr.r11 * root, pts)
     t23 = symbol_terms(qr.r23 * root, pts)
 
-    best_m = np.full(n, np.inf)
-    best_first = np.zeros(n, dtype=np.int64)
-    best_second = np.zeros(n, dtype=np.int64)
-    best_correct = np.zeros(n, dtype=bool)
+    # Row jb is the second user's symbol: its best m1 and m3 = min(m1, m2).
+    best1 = np.empty((m, n))
+    arg1 = np.empty((m, n), dtype=np.intp)
+    best3 = np.empty((m, n))
+    arg3 = np.empty((m, n), dtype=np.intp)
     for jb in range(m):
         c1 = qr.yt1 - qr.r12 * (root * pts[jb])
         c2 = qr.yt2 - qr.r22 * (root * pts[jb])
         phi1 = sqdist(c1, t11)
         phi3 = sqdist(c2, t23)
-        min1, a2 = first_min(phi1)
-        min3 = phi3.min(axis=0)
-        b1, a1 = first_min(phi1 + phi3[cells[:, jb]])
-        b2_pen = min1 + min3 + ln_es
-
-        correct = b1 < b2_pen
-        mj = np.where(correct, b1, b2_pen)
-        aj = np.where(correct, a1, a2)
-        upd = mj < best_m
-        best_m = np.where(upd, mj, best_m)
-        best_first = np.where(upd, aj, best_first)
-        best_second = np.where(upd, jb, best_second)
-        best_correct = np.where(upd, correct, best_correct)
+        best1[jb], arg1[jb] = first_min(phi1 + phi3[cells[:, jb]])
+        min1, arg3[jb] = first_min(phi1)
+        best3[jb] = min1 + phi3.min(axis=0)
+    first, second, correct = _pick_branch(best1, arg1, best3, arg3, ln_es)
     if swap:
-        return best_second, best_first, best_correct
-    return best_first, best_second, best_correct
+        return second, first, correct
+    return first, second, correct
 
 
 def _source_terms(h_ad, h_bd, k: SchemeConstants, pts):
@@ -379,29 +384,15 @@ def novel_decode_exhaustive_batch(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, 
     r2t = symbol_terms(h_rd * math.sqrt(k.es), pts)
     every_b = np.arange(m)
 
-    # Rows are x_B; x_A is scanned ascending with strict improvements.
-    best1 = np.full((m, n), np.inf)
-    arg1 = np.zeros((m, n), dtype=np.int64)
-    best3 = np.full((m, n), np.inf)
-    arg3 = np.zeros((m, n), dtype=np.int64)
+    # Axis 0 is x_A, axis 1 x_B.
+    m1 = np.empty((m, m, n))
+    m3 = np.empty((m, m, n))
     for ia in range(m):
         p1 = sqdist(y1 - a1t[ia], b1t)
         p2 = sqdist((y2 - a2t[ia] - b2t)[:, None, :], r2t)
-        m1 = p1 + p2[every_b, cells[ia]]
-        m3 = p1 + p2.min(axis=1)
-        upd1 = m1 < best1
-        best1 = np.where(upd1, m1, best1)
-        arg1 = np.where(upd1, ia, arg1)
-        upd3 = m3 < best3
-        best3 = np.where(upd3, m3, best3)
-        arg3 = np.where(upd3, ia, arg3)
-
-    pen = best3 + ln_es
-    correct = best1 < pen
-    mj = np.where(correct, best1, pen)
-    _, jb = first_min(mj)  # first x_B attaining the minimum, as an ascending scan keeps
-    frames = np.arange(n)
-    return np.where(correct, arg1, arg3)[jb, frames], jb, correct[jb, frames]
+        m1[ia] = p1 + p2[every_b, cells[ia]]
+        m3[ia] = p1 + p2.min(axis=1)
+    return _pick_branch(*first_min(m1), *first_min(m3), ln_es)
 
 
 def joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, relay_points):

@@ -99,6 +99,12 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         """Reject every spec that would fail inside a worker batch."""
+        for name in ("m", "trials_per_point", "seed", "error_target"):
+            value = getattr(self, name)
+            index = getattr(type(value), "__index__", None)
+            if index is None or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, index(value))  # numpy integers become int
         if self.m < 2 or self.m & (self.m - 1):
             raise ValueError(f"m must be a power of two >= 2, got {self.m}")
         if self.trials_per_point < 1:

@@ -7,9 +7,10 @@ always, r13 under the orthogonality condition checked in
 :mod:`marc_pnc.scheme`) carry the whole fast-decoder argument.
 
 The relay and destination kernels lay per-candidate terms out
-candidate-major (``symbol_terms``), score them with ``sqdist`` and pick
-first minima with ``first_min`` (over the rows of one block) and
-``first_pair_min`` (lexicographic, over a sequence of blocks).
+candidate-major (``symbol_terms``) and score them with ``sqdist``.
+``first_min`` is the one scan that picks a first minimum, so every kernel
+breaks ties the same way; ``first_pair_min`` applies it twice to find the
+lexicographically first pair over a sequence of blocks.
 
 Randomness is counter-based: a ``RngStream`` is fully determined by a
 ``(seed, stream)`` pair of integers, so concurrent workers can draw from
@@ -51,19 +52,20 @@ def sqdist(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def first_min(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of a (J, n) array, the minimum and the first row that
-    reaches it: ``(v.min(axis=0), v.argmin(axis=0))`` for NaN-free input.
-    NaN is outside the contract.
+    """Along the first axis of a (J, ...) array, the minimum and the first
+    row that reaches it: ``(v.min(axis=0), v.argmin(axis=0))`` for NaN-free
+    input.  NaN is outside the contract.
 
-    The index counts the rows before the first one equal to the minimum.
-    That is J cheap whole-row operations; numpy's argmin along axis 0 moves
-    the axis and runs its inner loop once per column, which costs several
-    times more on the short, wide arrays of the candidate-major kernels."""
+    The index counts down from J - 1 once for every row after the first one
+    equal to the minimum.  That is J cheap whole-row operations; numpy's
+    argmin along axis 0 moves the axis and runs its inner loop once per
+    column, which costs several times more on the short, wide arrays of the
+    candidate-major kernels."""
     vmin = v.min(axis=0)
     seen = v[0] == vmin
-    idx = np.zeros(vmin.shape, dtype=np.intp)
+    idx = np.full(vmin.shape, len(v) - 1, dtype=np.intp)
     for row in v[1:]:
-        idx += ~seen
+        idx -= seen
         seen |= row == vmin
     return vmin, idx
 
@@ -71,18 +73,12 @@ def first_min(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def first_pair_min(blocks) -> tuple[np.ndarray, np.ndarray]:
     """Per frame, the first pair (i, j) in lexicographic order that
     minimises a metric.  ``blocks`` yields, for i = 0, 1, ..., the (J, n)
-    metric of every (i, j); a later pair wins only by a strict improvement,
-    so ties keep the earlier one."""
-    for i, v in enumerate(blocks):
-        vmin, vj = first_min(v)
-        if i == 0:
-            best, best_i, best_j = vmin, np.zeros_like(vj), vj
-            continue
-        upd = vmin < best
-        best = np.where(upd, vmin, best)
-        best_i = np.where(upd, i, best_i)
-        best_j = np.where(upd, vj, best_j)
-    return best_i, best_j
+    metric of every (i, j); J may differ between blocks.  Each block's
+    ``first_min`` gives its best j, and a ``first_min`` over the block
+    minima picks i, so ties keep the earlier pair."""
+    mins, args = zip(*(first_min(v) for v in blocks))
+    _, best_i = first_min(np.stack(mins))
+    return best_i, np.stack(args)[best_i, np.arange(len(best_i))]
 
 
 class QrRotation(NamedTuple):

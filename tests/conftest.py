@@ -4,11 +4,21 @@ Acceptance tests register one line per criterion through the
 ``acceptance_report`` fixture; the lines print in the terminal summary so
 the pass/fail status of each criterion is visible even though pytest
 captures stdout.
+
+The ``bench`` fixture imports the benchmark's own modules, so tests can
+read its tables and rerun its sweeps without running the benchmark.
 """
 
 from __future__ import annotations
 
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+BENCH_MODULES = ("workloads", "spans")
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -50,6 +60,22 @@ def scored_metrics(monkeypatch):
         return scored
 
     return count
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's ``workloads`` and ``spans`` modules.  Nothing is
+    written under ``benchmarks/``: bytecode caching is off while they are
+    imported."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    for name in BENCH_MODULES:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        yield tuple(importlib.import_module(name) for name in BENCH_MODULES)
+    finally:
+        for name in BENCH_MODULES:
+            sys.modules.pop(name, None)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

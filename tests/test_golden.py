@@ -15,6 +15,11 @@ its (index_a, index_b, branch) on frames drawn with ``draw_batch`` for M in
 {2, 4, 8, 16}, both maps, es in {1, 10, 1000} and both constant choices,
 half of them with a uniformly random relay symbol, plus one all-zero frame
 per setting, on which every candidate ties.
+
+Every point of that matrix is one partial batch, so it cannot see how a
+sweep is split into batches and rounds.  The benchmark's seed-0 sweeps
+(``benchmarks/golden.json``) can: each point runs up to four full batches
+and one partial, over two rounds.  They are rerun here too.
 """
 
 import cmath
@@ -121,6 +126,22 @@ def test_matrix_is_complete():
 @pytest.mark.parametrize("label", sorted(GOLDEN))
 def test_csv_digest(label):
     assert digest(golden_specs()[label]) == GOLDEN[label]
+
+
+def test_benchmark_sweeps_match_their_golden_digests(bench):
+    workloads, _ = bench
+    golden = workloads.load_golden()
+    curves = {}
+    for workload in ("paper-m4", "highorder-m16"):
+        plan = workloads.build_plan(workload, workloads.DEFAULT_SEED)
+        for sw in plan.sweeps + plan.checks:
+            curve = run_sweep(sw.spec, threads=plan.threads)
+            text = curve_to_csv(curve)
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == golden[sw.label], sw.label
+            curves[sw.label] = curve.points
+        for a, b in plan.identical:
+            assert curves[a] == curves[b], (a, b)
+    assert set(curves) == set(golden)
 
 
 ORACLE_FRAMES = 40

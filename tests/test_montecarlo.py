@@ -78,6 +78,20 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="power of two"):
             small_spec(m=m)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("seed", 1.5), ("trials_per_point", 1000.0), ("m", 4.0), ("error_target", True), ("seed", np.True_)],
+    )
+    def test_integer_fields_must_be_integers(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_spec(**{field: bad})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        spec = small_spec(m=np.int64(4), seed=np.uint64(77), trials_per_point=np.int32(1000), error_target=np.int64(10))
+        assert spec == small_spec(m=4, seed=77, trials_per_point=1000, error_target=10)
+        assert all(type(getattr(spec, f)) is int for f in ("m", "seed", "trials_per_point", "error_target"))
+        assert run_sweep(spec).points[0].trials == 1000
+
     def test_fast_decoder_needs_an_hr_pairing(self):
         neither = (INV + 0j, INV + 0j, INV + 0j, INV * 1j)
         with pytest.raises(HrOrthogonalityError):

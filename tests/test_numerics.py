@@ -63,6 +63,14 @@ class TestFirstMin:
         assert np.array_equal(idx, v.argmin(axis=0))
         assert idx.dtype == np.intp
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data(), st.sampled_from([1, 2, 4, 16]), st.integers(1, 16), st.integers(1, 16))
+    def test_scans_the_first_axis_of_a_3d_array(self, data, rows, m, n):
+        v = data.draw(metric_arrays((rows, m, n)))
+        vmin, idx = first_min(v)
+        assert np.array_equal(vmin, v.min(axis=0))
+        assert np.array_equal(idx, v.argmin(axis=0))
+
 
 def brute_first_pair(blocks):
     """Per frame, the pair (i, j) that sorts first by (value, i, j)."""

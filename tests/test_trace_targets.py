@@ -1,40 +1,20 @@
 """The traced benchmark wraps ``marc_pnc`` module attributes by name
 (``benchmarks/workloads.py:TRACE_TARGETS``) and fails when one is missing.
-These tests read that table and run its tracer on a small sweep, without
-running the benchmark, so deleting or renaming a wrapped attribute, or
-calling ``simulate_batch`` in a way its span attributes cannot read, fails
-here too.  They write nothing under ``benchmarks/``: bytecode caching is
-off while its modules are imported.
+These tests read that table through the ``bench`` fixture (conftest.py)
+and run its tracer on a small sweep, without running the benchmark, so
+deleting or renaming a wrapped attribute, or calling ``simulate_batch`` in
+a way its span attributes cannot read, fails here too.
 """
 
 import importlib
-import sys
-from pathlib import Path
 
 import pytest
 
 from marc_pnc import montecarlo
 from marc_pnc.channel import PROFILE_PRESETS
 
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
-BENCH_MODULES = ("workloads", "spans")
-
 #: Fields of a ``simulate_batch`` span that the benchmark's summaries read.
 BATCH_FIELDS = {"decoder", "point", "batch", "n", "errors", "error_target", "trials_cap"}
-
-
-@pytest.fixture
-def bench(monkeypatch):
-    """The benchmark's ``workloads`` and ``spans`` modules."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(BENCHMARKS))
-    for name in BENCH_MODULES:
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    try:
-        yield tuple(importlib.import_module(name) for name in BENCH_MODULES)
-    finally:
-        for name in BENCH_MODULES:
-            sys.modules.pop(name, None)
 
 
 def test_every_trace_target_exists_and_is_callable(bench):
