@@ -16,9 +16,7 @@ from .channel import (
     sample_channel,
 )
 from .destination import (
-    Branch,
     DecodeInput,
-    DecodeOutput,
     HrOrthogonalityError,
     decode_frame,
     fast_decode,

@@ -19,10 +19,12 @@ Three decoders share the same frame inputs:
 Each decoder has one implementation, which works on a batch of frames
 (arrays with one entry per frame) and takes the relay table it reads from
 ``SweepSpec.relay_tables``; ``decode_frame`` runs any of them on a single
-``DecodeInput``.  The scalar ``novel_decode_exhaustive`` and the metric
-functions are kept as the independent reference that the batch decoders
-are tested against; ``novel_decode_exhaustive_batch`` is the exhaustive
-rule as sweeps run it.
+``DecodeInput``.  Every decoder reports a frame's decision as
+(index_a, index_b, relay_correct): the decoded pair, and whether the
+trust-the-relay hypothesis won.  The scalar ``novel_decode_exhaustive``
+and the metric functions are kept as the independent reference that the
+batch decoders are tested against; ``novel_decode_exhaustive_batch`` is
+the exhaustive rule as sweeps run it.
 
 log(es) is the natural logarithm: the metrics are Gaussian
 log-likelihoods, so base e is the only consistent reading.  Both aware
@@ -40,13 +42,12 @@ bit-for-bit:
 * ``_pick_branch`` holds the one strict branch comparison: the relay-error
   branch wins exact ties.  At es = 1 the penalty is zero and the
   relay-error branch, whose metric minimises over every relay symbol, can
-  then never lose -- both decoders deterministically label such frames
-  ``RELAY_ERROR``.
+  then never lose -- both decoders deterministically report
+  ``relay_correct = False`` for such frames.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -56,13 +57,6 @@ from .netmap import LatinSquare
 from .numerics import first_min, first_pair_min, qr_2x3, sqdist, symbol_terms
 from .scheme import SchemeConstants, check_hr_orthogonal, weight_matrices
 from .signalset import SignalSet
-
-
-class Branch(enum.Enum):
-    """Which hypothesis produced the decoded pair."""
-
-    RELAY_CORRECT = "relay-correct-hypothesis"
-    RELAY_ERROR = "relay-error-hypothesis"
 
 
 @dataclass(frozen=True)
@@ -82,13 +76,6 @@ class DecodeInput:
     def __post_init__(self) -> None:
         if self.relay_map is not None and self.relay_map.order != self.signal_set.m:
             raise ValueError("relay map order and constellation size differ")
-
-
-@dataclass(frozen=True)
-class DecodeOutput:
-    xa_idx: int
-    xb_idx: int
-    branch: Branch
 
 
 class HrOrthogonalityError(ValueError):
@@ -176,13 +163,15 @@ def _pairs(zs) -> list[tuple[float, float]]:
     return [(z.real, z.imag) for z in zs]
 
 
-def novel_decode_exhaustive(inp: DecodeInput) -> DecodeOutput:
+def novel_decode_exhaustive(inp: DecodeInput) -> tuple[int, int, bool]:
     """Relay-error-aware decoding by direct evaluation (O(M^3) work).
 
-    Minimises min(m1, log(es) + m2) over all pairs.  The branch reported
-    for the winning x_B compares the best trust-the-relay metric against
-    the best penalised any-relay-symbol metric, exactly as the fast
-    algorithm does, so the two implementations are interchangeable.
+    Minimises min(m1, log(es) + m2) over all pairs and returns
+    (index_a, index_b, relay_correct), as every batch decoder does for
+    each frame.  relay_correct is the branch of the winning x_B: its best
+    trust-the-relay metric against its best penalised any-relay-symbol
+    metric, exactly as the fast algorithm compares them, so the two
+    implementations are interchangeable.
 
     This is the independent reference the batch decoders are tested
     against, so it stays pure Python, one frame at a time.  Its floats are
@@ -203,7 +192,7 @@ def novel_decode_exhaustive(inp: DecodeInput) -> DecodeOutput:
     # x_B outermost; per x_B, the first x_A achieving the best m1 and the
     # best m3 = min(m1, m2), then the strict branch comparison.
     best_m = math.inf
-    pick = (0, 0, Branch.RELAY_ERROR)
+    pick = (0, 0, False)
     for ib, col in enumerate(zip(*inp.relay_map.cells)):
         b1r, b1i = b1[ib].real, b1[ib].imag
         b2r, b2i = b2[ib].real, b2[ib].imag
@@ -236,13 +225,13 @@ def novel_decode_exhaustive(inp: DecodeInput) -> DecodeOutput:
                 arg3 = ia
         pen = best3 + ln_es
         if best1 < pen:
-            mj, ja, br = best1, arg1, Branch.RELAY_CORRECT
+            mj, ja, br = best1, arg1, True
         else:
-            mj, ja, br = pen, arg3, Branch.RELAY_ERROR
+            mj, ja, br = pen, arg3, False
         if mj < best_m:
             best_m = mj
             pick = (ja, ib, br)
-    return DecodeOutput(*pick)
+    return pick
 
 
 def phi_metrics(
@@ -279,7 +268,7 @@ def phi_metrics(
 # constants, the constellation points and one of ``SweepSpec.relay_tables``:
 # the code table (the relay-map cells) for the two aware decoders, the
 # relay-point table for ``joint_min_distance``.  Each decoder returns
-# (index_a, index_b, relay_correct_branch) arrays.  Per-candidate terms and
+# (index_a, index_b, relay_correct) arrays.  Per-candidate terms and
 # metrics are candidate-major, (M, n), so every candidate's vector is
 # contiguous.
 
@@ -415,7 +404,7 @@ def joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, relay_
     return best_a, best_b, np.ones(n, dtype=bool)
 
 
-def decode_frame(decoder, inp: DecodeInput, relay=None) -> DecodeOutput:
+def decode_frame(decoder, inp: DecodeInput, relay=None) -> tuple[int, int, bool]:
     """Run a batch decoder on one frame, as a batch of one.
 
     ``relay`` is the decoder's relay table; it defaults to the frame's
@@ -428,4 +417,4 @@ def decode_frame(decoder, inp: DecodeInput, relay=None) -> DecodeOutput:
     one = (np.array([z], dtype=np.complex128) for z in (inp.y_d1, inp.y_d2, inp.h_ad, inp.h_bd, inp.h_rd))
     pts = np.asarray(inp.signal_set.points, dtype=np.complex128)
     a, b, correct = decoder(*one, inp.constants, pts, relay)
-    return DecodeOutput(int(a[0]), int(b[0]), Branch.RELAY_CORRECT if correct[0] else Branch.RELAY_ERROR)
+    return int(a[0]), int(b[0]), bool(correct[0])

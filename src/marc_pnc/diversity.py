@@ -39,7 +39,7 @@ def _valid_points(curve: SepCurve, which: str, window_db: tuple[float, float], m
     for p in curve.points:
         if not (lo <= p.snr_db <= hi):
             continue
-        v = p.value(which)
+        v = getattr(p, which)
         if v is None or v <= 0.0:
             continue
         if p.event_count(which) < min_events:
@@ -94,7 +94,7 @@ def probability_window(
     snrs = [
         p.snr_db
         for p in curve.points
-        if p.value(which) is not None and lo < p.value(which) < hi and p.event_count(which) >= min_events
+        if getattr(p, which) is not None and lo < getattr(p, which) < hi and p.event_count(which) >= min_events
     ]
     if not snrs:
         raise InsufficientDataError(f"no points with {which!r} inside {prob_range} and >= {min_events} events")

@@ -49,7 +49,6 @@ from .channel import (
     sample_channel,
 )
 from .destination import (
-    Branch,
     DecodeInput,
     fast_decode,
     joint_min_distance,
@@ -111,6 +110,8 @@ class SweepSpec:
             raise ValueError("trials_per_point must be >= 1")
         if self.error_target < 1:
             raise ValueError("error_target must be >= 1")
+        if not isinstance(self.profile, FadingProfile):
+            raise ValueError(f"profile must be a FadingProfile, got {self.profile!r}")
         pts = tuple(float(p) for p in self.snr_points_db)
         if not pts:
             raise ValueError("snr_points_db must not be empty")
@@ -125,8 +126,13 @@ class SweepSpec:
             raise ValueError(f"decoder must be one of {DECODERS}")
         if self.decoder in ("novel-exhaustive", "fast") and pts[0] < 0.0:
             raise ValueError("relay-error-aware decoders require all SNR points >= 0 dB")
-        # Constant validity (energy split) is checked by building once.
-        k = self.constants_at(pts[0])
+        # Constant validity (energy split, es > 0) is checked by building
+        # the constants of every point.
+        for p in pts:
+            try:
+                k = self.constants_at(p)
+            except OverflowError:
+                raise ValueError(f"snr_points_db: {p} dB overflows as a linear SNR") from None
         if self.decoder == "fast":
             role_swap(k)  # raises HrOrthogonalityError if no pairing holds
         elif self.decoder == "cfnc":
@@ -217,9 +223,6 @@ class SepPoint:
         """The counters of both, summed, at this point's SNR."""
         summed = {f: getattr(self, f) + getattr(other, f) for f in ("trials", *PROBABILITY_EVENTS.values())}
         return SepPoint(snr_db=self.snr_db, **summed)
-
-    def value(self, which: str) -> float | None:
-        return getattr(self, which)
 
     def event_count(self, which: str) -> int:
         return getattr(self, PROBABILITY_EVENTS[which])
@@ -415,14 +418,13 @@ class EquivalenceReport:
 
 def equivalence_battery(
     snr_points_db=(0.0, 10.0, 20.0, 30.0),
-    profiles: dict[str, FadingProfile] | None = None,
     frames_per_cell: int = 8400,
     seed: int = 2024,
-    m: int = 4,
-    map_kind: str = "modulo",
     forced_error_fraction: float = 0.5,
 ) -> EquivalenceReport:
-    """Compare fast_decode against novel_decode_exhaustive frame by frame.
+    """Compare fast_decode against novel_decode_exhaustive frame by frame,
+    on 4-PSK with the modulo-4 relay map, for every SNR point and every
+    profile of ``PROFILE_PRESETS``.
 
     Each (SNR, profile) cell gets its own stream; its frames are drawn and
     relayed one at a time, then the batch fast decoder decodes the whole
@@ -432,28 +434,23 @@ def equivalence_battery(
     network-coded symbol, so the relay-error branch is exercised at every
     SNR, not only where relay errors occur naturally.
 
-    Arguments that would compare no frames, name an unknown map, or give
-    frames the fast decoder does not admit (SNR below 0 dB, i.e. es < 1)
-    raise ``ValueError`` before anything is drawn.
+    Arguments that would compare no frames, or give frames the fast decoder
+    does not admit (SNR below 0 dB, i.e. es < 1), raise ``ValueError``
+    before anything is drawn.
     """
-    if profiles is None:
-        profiles = PROFILE_PRESETS
     snr_points_db = tuple(snr_points_db)
     if frames_per_cell < 1:
         raise ValueError(f"frames_per_cell must be >= 1, got {frames_per_cell}")
     if not snr_points_db:
         raise ValueError("snr_points_db must not be empty")
-    if not profiles:
-        raise ValueError("profiles must not be empty")
     bad = [db for db in snr_points_db if not (math.isfinite(db) and db >= 0.0)]
     if bad:
         raise ValueError(f"SNR points must be finite and >= 0 dB (the fast decoder needs es >= 1), got {bad[0]}")
     if not 0.0 <= forced_error_fraction <= 1.0:
         raise ValueError(f"forced_error_fraction must be in [0, 1], got {forced_error_fraction}")
-    if map_kind not in MAP_KINDS:
-        raise ValueError(f"map_kind must be one of {MAP_KINDS}, got {map_kind!r}")
+    m = 4
     s = make_psk(m)
-    f = LATIN_MAPS[map_kind](m)
+    f = LATIN_MAPS["modulo"](m)
     pts = np.asarray(s.points, dtype=np.complex128)
     cells = np.asarray(f.cells, dtype=np.int64)
     frames = 0
@@ -462,7 +459,7 @@ def equivalence_battery(
 
     cell = 0
     for snr_db in snr_points_db:
-        for pname, profile in profiles.items():
+        for pname, profile in PROFILE_PRESETS.items():
             k = example1_constants(db_to_linear(snr_db))
             rng = RngStream(seed, cell)
             cell += 1
@@ -496,7 +493,7 @@ def equivalence_battery(
             for inp, got in zip(inputs, zip(fa.tolist(), fb.tolist(), fcorrect.tolist())):
                 ref = novel_decode_exhaustive(inp)
                 frames += 1
-                if got != (ref.xa_idx, ref.xb_idx, ref.branch is Branch.RELAY_CORRECT):
+                if got != ref:
                     mismatches += 1
                     if first is None:
                         first = f"snr={snr_db} profile={pname} fast={got} ref={ref}"

@@ -41,11 +41,11 @@ class SignalSet:
         raise ValueError(f"{x!r} is not a constellation point")
 
 
-def make_psk(m: int, phase_offset: float = 0.0) -> SignalSet:
-    """M-PSK with points exp(i(2*pi*k/M + phase_offset)), k = 0..M-1."""
+def make_psk(m: int) -> SignalSet:
+    """M-PSK with points exp(i*2*pi*k/M), k = 0..M-1."""
     if m < 2 or m & (m - 1):
         raise ValueError(f"M must be a power of two >= 2, got {m}")
-    points = tuple(cmath.exp(1j * (2.0 * math.pi * k / m + phase_offset)) for k in range(m))
+    points = tuple(cmath.exp(1j * (2.0 * math.pi * k / m)) for k in range(m))
     return SignalSet(points=points, bits_per_symbol=m.bit_length() - 1)
 
 

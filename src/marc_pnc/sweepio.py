@@ -62,7 +62,7 @@ def curve_to_csv(curve: SepCurve) -> str:
     for p in curve.points:
         cells = [_fmt(p.snr_db)]
         for fieldname in PROBABILITY_EVENTS:
-            v = p.value(fieldname)
+            v = getattr(p, fieldname)
             cells.append("" if v is None else _fmt(v))
         cells.append(str(p.trials))
         lines.append(",".join(cells))

@@ -134,7 +134,7 @@ class TestCfncFrames:
             y_d2 = rng.gaussian(4.0)
             inp = DecodeInput(y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=S4)
             out = decode_frame(joint_min_distance, inp, relay=cfg.relay_points(S4.points))
-            assert (out.xa_idx, out.xb_idx) == destination_oracle(y_d1, y_d2, h, k, S4, cfg)
+            assert out[:2] == destination_oracle(y_d1, y_d2, h, k, S4, cfg)
 
     def test_noisy_frames_mostly_correct_at_high_snr(self):
         k = example1_constants(10**3.0)

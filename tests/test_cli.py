@@ -85,6 +85,7 @@ class TestSweep:
             (["--snr-db", "1,x"], "could not convert"),
             (["--config", "{cfg}"], "unknown key 'frobnicate'"),
             (["--config", "{missing}"], "No such file"),
+            (["--snr-db", "0,4000"], "4000.0 dB"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):

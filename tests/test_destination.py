@@ -6,7 +6,6 @@ import pytest
 
 from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS, phase1, phase2, sample_channel
 from marc_pnc.destination import (
-    Branch,
     DecodeInput,
     HrOrthogonalityError,
     decode_frame,
@@ -204,9 +203,9 @@ def pair_scan_oracle(inp: DecodeInput):
         b1 = min(m1s)
         b3 = min(m3s)
         if b1 < b3 + ln_es:
-            cand = (b1, ib, m1s.index(b1), Branch.RELAY_CORRECT)
+            cand = (b1, ib, m1s.index(b1), True)
         else:
-            cand = (b3 + ln_es, ib, m3s.index(b3), Branch.RELAY_ERROR)
+            cand = (b3 + ln_es, ib, m3s.index(b3), False)
         if best is None or cand[0] < best[0]:
             best = cand
     return best[2], best[1], best[3]
@@ -217,9 +216,7 @@ class TestMinEuclideanDecode:
         for ia in range(4):
             for ib in range(4):
                 inp = noiseless_relay_correct_input(ia, ib, es=5.0)
-                out = decode_frame(joint_min_distance, inp, relay=relay_points(inp))
-                assert (out.xa_idx, out.xb_idx) == (ia, ib)
-                assert out.branch is Branch.RELAY_CORRECT
+                assert decode_frame(joint_min_distance, inp, relay=relay_points(inp)) == (ia, ib, True)
 
     def test_matches_independent_scan(self):
         rng = RngStream(106, 0)
@@ -230,8 +227,7 @@ class TestMinEuclideanDecode:
                 for ib in range(4):
                     rows.append((metric_m1(inp, S4.points[ia], S4.points[ib]), ia, ib))
             rows.sort()
-            out = decode_frame(joint_min_distance, inp, relay=relay_points(inp))
-            assert (out.xa_idx, out.xb_idx) == (rows[0][1], rows[0][2])
+            assert decode_frame(joint_min_distance, inp, relay=relay_points(inp))[:2] == rows[0][1:]
 
     def test_works_below_unit_energy(self):
         rng = RngStream(107, 0)
@@ -250,9 +246,9 @@ class TestMinEuclideanDecode:
 def plain_per_pair_scan(inp: DecodeInput):
     """The literal rule from metric_m1/metric_m2: scan all pairs with x_B
     outermost, per-pair objective min(m1, ln(es) + m2), and keep the first
-    strict improvement.  The branch is that of the winning x_B: trust the
-    relay only if its best m1 is strictly below ln(es) + its best
-    min(m1, m2), so the relay-error branch wins ties."""
+    strict improvement.  relay_correct is the branch of the winning x_B:
+    True (trust the relay) only if its best m1 is strictly below
+    ln(es) + its best min(m1, m2), so the relay-error branch wins ties."""
     pts = inp.signal_set.points
     ln_es = math.log(inp.constants.es)
     best = None
@@ -260,11 +256,10 @@ def plain_per_pair_scan(inp: DecodeInput):
         m1s = [metric_m1(inp, xa, xb) for xa in pts]
         m2s = [metric_m2(inp, xa, xb) for xa in pts]
         trust = min(m1s) < ln_es + min(map(min, m1s, m2s))
-        branch = Branch.RELAY_CORRECT if trust else Branch.RELAY_ERROR
         for ia, (p, q) in enumerate(zip(m1s, m2s)):
             g = min(p, ln_es + q)
             if best is None or g < best[0]:
-                best = (g, ia, ib, branch)
+                best = (g, ia, ib, trust)
     return best[1:]
 
 
@@ -272,8 +267,7 @@ class TestNovelDecodeExhaustive:
     def test_noiseless_relay_correct_decodes_truth_via_m1(self):
         for ia in range(4):
             inp = noiseless_relay_correct_input(ia, (ia + 1) % 4, es=8.0)
-            out = novel_decode_exhaustive(inp)
-            assert (out.xa_idx, out.xb_idx, out.branch) == (ia, (ia + 1) % 4, Branch.RELAY_CORRECT)
+            assert novel_decode_exhaustive(inp) == (ia, (ia + 1) % 4, True)
 
     def test_noiseless_relay_wrong_recovered_via_error_branch(self):
         # frozen frame: unit channels, relay sends point 0 instead of the
@@ -299,18 +293,14 @@ class TestNovelDecodeExhaustive:
         assert min(per_pair, key=per_pair.get) == (ia, ib)
         assert per_pair[(ia, ib)] == pytest.approx(ln_es)
 
-        out = novel_decode_exhaustive(inp)
-        assert (out.xa_idx, out.xb_idx, out.branch) == (ia, ib, Branch.RELAY_ERROR)
-        naive = decode_frame(joint_min_distance, inp, relay=relay_points(inp))
-        assert (naive.xa_idx, naive.xb_idx) == (1, 0)
+        assert novel_decode_exhaustive(inp) == (ia, ib, False)
+        assert decode_frame(joint_min_distance, inp, relay=relay_points(inp))[:2] == (1, 0)
 
     def test_matches_metric_level_oracle(self):
         rng = RngStream(108, 0)
         for i in range(400):
             inp, _, _ = random_decode_input(rng, es=float(np.exp(i % 4)), force_relay_error=(i % 2 == 0))
-            assert (pair_scan_oracle(inp)) == (
-                (lambda o: (o.xa_idx, o.xb_idx, o.branch))(novel_decode_exhaustive(inp))
-            )
+            assert pair_scan_oracle(inp) == novel_decode_exhaustive(inp)
 
     def test_requires_unit_snr(self):
         rng = RngStream(109, 0)
@@ -326,8 +316,7 @@ class TestNovelDecodeExhaustive:
                 for i in range(frames):
                     es = (1.0, math.e, 20.0, 400.0)[i % 4]
                     inp, _, _ = random_decode_input(rng, es=es, force_relay_error=(i % 2 == 0), s=s, f=f)
-                    out = novel_decode_exhaustive(inp)
-                    assert (out.xa_idx, out.xb_idx, out.branch) == plain_per_pair_scan(inp)
+                    assert novel_decode_exhaustive(inp) == plain_per_pair_scan(inp)
 
     def test_rewrite_identity_m2_vs_m3(self):
         # min(m1, ln + m2) == min(m1, ln + m3) pointwise once es >= 1

@@ -9,7 +9,6 @@ import pytest
 from marc_pnc import montecarlo
 from marc_pnc.channel import PROFILE_PRESETS, phase1, phase2
 from marc_pnc.destination import (
-    Branch,
     DecodeInput,
     HrOrthogonalityError,
     fast_decode,
@@ -92,6 +91,18 @@ class TestSweepSpec:
         assert all(type(getattr(spec, f)) is int for f in ("m", "seed", "trials_per_point", "error_target"))
         assert run_sweep(spec).points[0].trials == 1000
 
+    def test_every_snr_point_must_have_a_finite_linear_snr(self):
+        # 10^(4000/10) overflows a float; the grid's first point does not
+        for decoder in ("fast", "min-euclid"):
+            with pytest.raises(ValueError, match="4000.0 dB"):
+                small_spec(snr_points_db=(0.0, 4000.0), decoder=decoder)
+        small_spec(snr_points_db=(0.0, 3000.0))
+
+    @pytest.mark.parametrize("profile", [{"var_ar": 1.0}, "equal"])
+    def test_profile_must_be_a_fading_profile(self, profile):
+        with pytest.raises(ValueError, match="profile must be a FadingProfile"):
+            small_spec(profile=profile)
+
     def test_fast_decoder_needs_an_hr_pairing(self):
         neither = (INV + 0j, INV + 0j, INV + 0j, INV * 1j)
         with pytest.raises(HrOrthogonalityError):
@@ -154,8 +165,7 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
         assert combined.nc_wrong[i] == (pair != (ia, ib))
         inp = DecodeInput(y_d1=complex(y_d1[i]), y_d2=complex(y_d2[i]), h_ad=h.h_ad, h_bd=h.h_bd,
                           h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f)
-        ref = novel_decode_exhaustive(inp)
-        want = [ref.xa_idx, ref.xb_idx, int(ref.branch is Branch.RELAY_CORRECT)]
+        want = list(novel_decode_exhaustive(inp))
         assert fast[i] == want
         assert exhaustive[i] == want
         scan = min((metric_m1(inp, s.points[ia], s.points[ib]), ia, ib) for ia in range(s.m) for ib in range(s.m))
@@ -204,12 +214,11 @@ class TestEquivalenceBattery:
             ({"frames_per_cell": 0}, "frames_per_cell"),
             ({"frames_per_cell": -3}, "frames_per_cell"),
             ({"snr_points_db": ()}, "snr_points_db"),
-            ({"profiles": {}}, "profiles"),
+            ({"snr_points_db": (math.inf,)}, "inf"),
             ({"snr_points_db": (10.0, -0.5)}, "-0.5"),
             ({"snr_points_db": (math.nan,)}, "nan"),
             ({"forced_error_fraction": -0.1}, "forced_error_fraction"),
             ({"forced_error_fraction": 1.5}, "forced_error_fraction"),
-            ({"map_kind": "modulus"}, "map_kind"),
         ],
     )
     def test_bad_arguments_fail_before_drawing(self, kwargs, message, monkeypatch):
@@ -226,6 +235,20 @@ class TestEquivalenceBattery:
             snr_points_db=(0.0,), frames_per_cell=30, forced_error_fraction=fraction
         )
         assert report.frames == 90 and report.mismatches == 0
+
+    def test_a_disagreement_is_counted(self, monkeypatch):
+        def flip_frame_0(*args):
+            a, b, correct = fast_decode(*args)
+            correct = correct.copy()
+            correct[0] = not correct[0]
+            return a, b, correct
+
+        monkeypatch.setattr(montecarlo, "fast_decode", flip_frame_0)
+        report = montecarlo.equivalence_battery(snr_points_db=(10.0,), frames_per_cell=20)
+        first_profile = next(iter(PROFILE_PRESETS))
+        assert report.frames == 20 * len(PROFILE_PRESETS) == 60
+        assert report.mismatches == 3  # frame 0 of each profile's cell
+        assert report.first_mismatch.startswith(f"snr=10.0 profile={first_profile} ")
 
 
 def record_batches(monkeypatch, errors_at=()):

@@ -1,5 +1,3 @@
-import cmath
-
 import pytest
 
 from marc_pnc.signalset import SignalSet, difference_set, make_psk
@@ -26,10 +24,6 @@ class TestMakePsk:
     def test_non_power_of_two_rejected(self, m):
         with pytest.raises(ValueError):
             make_psk(m)
-
-    def test_phase_offset(self):
-        s = make_psk(4, phase_offset=cmath.pi / 4)
-        assert s.points[0] == pytest.approx(cmath.exp(1j * cmath.pi / 4))
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_points_sum_to_zero(self, m):
