@@ -18,7 +18,11 @@ from .scheme import SchemeConstants
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(db/10); a value too large for a float raises ``ValueError``."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{float(db)} dB overflows as a linear value") from None
 
 
 @dataclass(frozen=True)
@@ -33,8 +37,9 @@ class FadingProfile:
 
     def __post_init__(self) -> None:
         for name in ("var_ar", "var_br", "var_ad", "var_bd", "var_rd"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @classmethod
     def from_db(cls, ar: float = 0.0, br: float = 0.0, ad: float = 0.0, bd: float = 0.0, rd: float = 0.0) -> "FadingProfile":

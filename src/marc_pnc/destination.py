@@ -44,6 +44,12 @@ bit-for-bit:
   relay-error branch, whose metric minimises over every relay symbol, can
   then never lose -- both decoders deterministically report
   ``relay_correct = False`` for such frames.
+
+The agreement holds for frames whose gains and samples are all non-zero,
+as Rayleigh draws are with probability 1.  An exact zero makes candidates
+tie symmetrically, and the two float paths may break such ties apart (664
+to 677 of 4,608 such frames, depending on the QR's rounding): like NaN for
+``first_min``, those frames are outside the contract.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 reproducible Gaussian sampling.
 
 The QR of the equivalent channel runs on whole batches of frames: every
-argument is an array with one entry per frame.  Its structural zeros (r21
-always, r13 under the orthogonality condition checked in
-:mod:`marc_pnc.scheme`) carry the whole fast-decoder argument.
+argument is an array with one entry per frame, factored by one Givens
+rotation.  Its structural zeros (r21 always, r13 under the orthogonality
+condition checked in :mod:`marc_pnc.scheme`) carry the fast decoder.
 
 The relay and destination kernels lay per-candidate terms out
 candidate-major (``symbol_terms``) and score them with ``sqdist``.
@@ -27,11 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-def sqmag(z: np.ndarray) -> np.ndarray:
-    """Elementwise squared magnitude |z|^2."""
-    return z.real**2 + z.imag**2
-
-
 def symbol_terms(gain: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Candidate-major products ``gain * pts``, shape (M, n): row j holds
     symbol j's term for every frame, so each candidate's vector is
@@ -40,9 +35,9 @@ def symbol_terms(gain: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def sqdist(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Elementwise ``sqmag(z - t)``, broadcasting, worked on the real and
-    imaginary planes so that no complex temporary is built.  The operations
-    are the same, so the result is bit-identical."""
+    """Elementwise ``|z - t|^2``, broadcasting, worked on the real and
+    imaginary planes, ``(z.re - t.re)^2 + (z.im - t.im)^2``, so that no
+    complex temporary is built."""
     re = np.subtract(z.real, t.real)
     re *= re
     im = np.subtract(z.imag, t.imag)
@@ -100,50 +95,37 @@ def qr_2x3(h11, h21, h12, h22, h23, y1, y2) -> QrRotation:
     (q 2x2 unitary) and rotate the received pair by q*.
 
     The (1, 3) entry of h is zero because the relay is silent in phase 1.
-    A single Householder reflection zeroes the (2, 1) entry, then both rows
-    are phase-normalised so the diagonal entries r11 and r22 come out real
-    and non-negative.  With that convention the factorisation is unique
+    One Givens rotation zeroes the (2, 1) entry (Golub & Van Loan, *Matrix
+    Computations*, 5.1.8): with (cs, sn) = (h11, h21) / n1 and n1 the norm
+    of the first column, q* = diag(1, d2) @ [[conj cs, conj sn], [-sn, cs]].
+    r11 = n1 is real and non-negative by construction, and the phase d2
+    makes r22 so too.  With that convention the factorisation is unique
     (when the diagonal is positive), which keeps decoder comparisons
-    deterministic.  r21 is returned as an exact zero, as constructed; r13
-    is zero when h21 = 0, the Hurwitz-Radon case.
+    deterministic.  r21 is returned as an exact zero, as constructed;
+    r13 = conj(sn) h23 is zero when h21 = 0, the Hurwitz-Radon case.
 
-    A zero first column cannot be reflected; the reflection degenerates to
-    the identity and r11 = 0, which still satisfies the convention.
+    A zero first column takes (cs, sn) = (1, 0), and a zero r22 takes d2 = 1;
+    r11 = 0 or r22 = 0 still satisfies the convention.
     """
-    # Reflector u = c1 + e^{i arg(h11)} |c1| e1 (sign choice avoids
-    # cancellation); p = I - 2 u u* / (u* u) is unitary and Hermitian.
     n1 = np.hypot(np.abs(h11), np.abs(h21))
-    abs11 = np.abs(h11)
-    phase = np.where(abs11 > 0, h11 / np.where(abs11 > 0, abs11, 1.0), 1.0 + 0.0j)
-    u1 = h11 + phase * n1
-    u2 = h21
-    unorm2 = sqmag(u1) + sqmag(u2)
-    s = np.where(unorm2 > 0, 2.0 / np.where(unorm2 > 0, unorm2, 1.0), 0.0)
-    p11 = 1.0 - s * u1 * np.conj(u1)
-    p12 = -s * u1 * np.conj(u2)
-    p21 = -s * u2 * np.conj(u1)
-    p22 = 1.0 - s * u2 * np.conj(u2)
-
-    # Rows of p @ h, then per-row phase normalisation of the diagonal:
-    # q* = diag(d1, d2) @ p.
-    r11_raw = p11 * h11 + p12 * h21
-    r12_raw = p11 * h12 + p12 * h22
-    r22_raw = p21 * h12 + p22 * h22
-    r23_raw = p22 * h23
-    a1 = np.abs(r11_raw)
-    d1 = np.where(a1 > 0, np.conj(r11_raw) / np.where(a1 > 0, a1, 1.0), 1.0 + 0.0j)
+    nonzero = n1 > 0
+    safe = np.where(nonzero, n1, 1.0)
+    cs = np.where(nonzero, h11 / safe, 1.0 + 0.0j)
+    sn = h21 / safe  # h21 = 0 wherever n1 = 0
+    ccs, csn = np.conj(cs), np.conj(sn)
+    r22_raw = cs * h22 - sn * h12
     a2 = np.abs(r22_raw)
     d2 = np.where(a2 > 0, np.conj(r22_raw) / np.where(a2 > 0, a2, 1.0), 1.0 + 0.0j)
 
     return QrRotation(
-        r11=a1.astype(np.complex128),
-        r12=d1 * r12_raw,
-        r13=d1 * (p12 * h23),
-        r21=np.zeros_like(r11_raw),
+        r11=n1.astype(np.complex128),
+        r12=ccs * h12 + csn * h22,
+        r13=csn * h23,
+        r21=np.zeros_like(r22_raw),
         r22=a2.astype(np.complex128),
-        r23=d2 * r23_raw,
-        yt1=d1 * (p11 * y1 + p12 * y2),
-        yt2=d2 * (p21 * y1 + p22 * y2),
+        r23=d2 * (cs * h23),
+        yt1=ccs * y1 + csn * y2,
+        yt2=d2 * (cs * y2 - sn * y1),
     )
 
 

@@ -16,6 +16,7 @@ d=1/sqrt(2), which satisfies both.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -45,11 +46,15 @@ class SchemeConstants:
     es: float
 
     def __post_init__(self) -> None:
-        ea = abs(self.a) ** 2 + abs(self.c) ** 2
-        eb = abs(self.b) ** 2 + abs(self.d) ** 2
-        if abs(ea - 1.0) > _ENERGY_TOL:
+        for name in ("a", "b", "c", "d", "es"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # Squared by product: a float ** overflow raises, a product is inf.
+        ea = abs(self.a) * abs(self.a) + abs(self.c) * abs(self.c)
+        eb = abs(self.b) * abs(self.b) + abs(self.d) * abs(self.d)
+        if not abs(ea - 1.0) <= _ENERGY_TOL:
             raise ValueError(f"|a|^2+|c|^2 = {ea} != 1")
-        if abs(eb - 1.0) > _ENERGY_TOL:
+        if not abs(eb - 1.0) <= _ENERGY_TOL:
             raise ValueError(f"|b|^2+|d|^2 = {eb} != 1")
         if not self.es > 0:
             raise ValueError(f"es must be positive, got {self.es}")

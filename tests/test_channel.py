@@ -38,6 +38,9 @@ class TestProfiles:
     def test_positive_variances_required(self):
         with pytest.raises(ValueError):
             FadingProfile(1.0, 1.0, 0.0, 1.0, 1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="var_bd must be finite"):
+                FadingProfile(1.0, 1.0, 1.0, bad, 1.0)
 
 
 class TestSampleChannel:

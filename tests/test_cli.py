@@ -86,6 +86,9 @@ class TestSweep:
             (["--config", "{cfg}"], "unknown key 'frobnicate'"),
             (["--config", "{missing}"], "No such file"),
             (["--snr-db", "0,4000"], "4000.0 dB"),
+            (["--var-ar-db", "4000"], "4000.0 dB"),
+            (["--var-ar-db", "inf"], "var_ar must be finite"),
+            (["--b-im", "nan", "--decoder", "min-euclid"], "b must be finite"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):

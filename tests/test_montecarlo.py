@@ -219,6 +219,7 @@ class TestEquivalenceBattery:
             ({"snr_points_db": (math.nan,)}, "nan"),
             ({"forced_error_fraction": -0.1}, "forced_error_fraction"),
             ({"forced_error_fraction": 1.5}, "forced_error_fraction"),
+            ({"snr_points_db": (4000.0,)}, "4000.0 dB"),
         ],
     )
     def test_bad_arguments_fail_before_drawing(self, kwargs, message, monkeypatch):

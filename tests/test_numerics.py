@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,18 @@ class TestQr2x3:
         q, r = factor(h)
         assert reconstruction_error(h, q, r) < ATOL
         assert r[0, 0, 0] == pytest.approx(2.0)
+
+    def test_rank_deficient_left_block(self):
+        # h11 h22 - h21 h12 = 0: the rotated (2, 2) entry is exactly zero, so
+        # its phase normalisation must fall back to 1 without a warning.
+        h = [[1.0, 2.0, 0.0], [1.0, 2.0, 1j]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, r = factor(h)
+        assert r[0, 1, 1] == 0.0
+        assert r[0, 1, 0] == 0.0
+        assert reconstruction_error(h, q, r) < ATOL
+        assert unitarity_error(q) < ATOL
 
     def test_r13_vanishes_under_orthogonality_condition(self):
         # Channels built with c = 0 put an exact zero in position (2, 1),

@@ -49,6 +49,15 @@ class TestConstants:
             SchemeConstants(a=1.0, b=1.0, c=0.0, d=1.0, es=1.0)
         with pytest.raises(ValueError, match="es"):
             example1_constants(0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="b must be finite"):
+                SchemeConstants(a=1.0, b=complex(INV, bad), c=0.0, d=INV, es=1.0)
+            with pytest.raises(ValueError, match="c must be finite"):
+                SchemeConstants(a=1.0, b=INV, c=bad, d=INV, es=1.0)
+            with pytest.raises(ValueError, match="es must be finite"):
+                example1_constants(bad)
+        with pytest.raises(ValueError, match=r"\|a\|"):  # |a|^2 overflows
+            SchemeConstants(a=1e200, b=INV, c=0.0, d=INV, es=1.0)
 
 
 class TestCodewordMatrix:
