@@ -2,10 +2,10 @@
 
 In this scheme the relay forwards a complex linear combination
 x_A + theta * x_B of its decoded pair instead of a many-to-one map, so its
-transmit constellation has M^2 points.  The destination jointly decodes
-both phases by minimum squared distance, assuming the relay forwarded its
-hypothesised pair: it is ``destination.joint_min_distance`` over the table
-``CfncConfig.relay_points``.
+transmit constellation has M^2 points, ``CfncConfig.relay_points``, one per
+pair in row-major order.  The destination jointly decodes both phases by
+minimum squared distance, assuming the relay forwarded its hypothesised
+pair: it is ``destination.joint_min_distance`` on that relay.
 
 Reconstruction choices (recorded in sweep metadata):
 
@@ -38,16 +38,16 @@ class CfncConfig:
     power_norm: float
 
     def __post_init__(self) -> None:
-        if abs(abs(self.theta) - 1.0) > 1e-12:
+        if not abs(abs(self.theta) - 1.0) <= 1e-12:
             raise ValueError(f"|theta| must be 1, got {abs(self.theta)}")
         if not self.power_norm > 0:
             raise ValueError("power_norm must be positive")
 
     def relay_points(self, pts) -> np.ndarray:
-        """(M, M) table of the point the relay sends for each decoded pair,
-        power_norm * (x_a + theta * x_b), rows indexed by x_a."""
+        """The M^2 points the relay can send, power_norm * (x_a + theta * x_b),
+        pair (index_a, index_b) at index_a * M + index_b."""
         pts = np.asarray(pts, dtype=np.complex128)
-        return self.power_norm * (pts[:, None] + self.theta * pts[None, :])
+        return self.power_norm * (pts[:, None] + self.theta * pts[None, :]).ravel()
 
 
 DEFAULT_THETA = cmath.exp(1j * math.pi / 4.0)
@@ -64,6 +64,8 @@ def check_cfnc_uniqueness(s: SignalSet, theta: complex, tol: float = 1e-9) -> bo
 
 def make_cfnc_config(s: SignalSet, theta: complex = DEFAULT_THETA) -> CfncConfig:
     """Validated config with power_norm set for unit mean relay energy."""
+    if not cmath.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     if not check_cfnc_uniqueness(s, theta):
         raise ValueError(f"theta={theta!r} collapses distinct pairs on this constellation")
     mean_energy = sum(abs(xa + theta * xb) ** 2 for xa in s.points for xb in s.points) / s.m**2

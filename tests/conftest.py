@@ -38,8 +38,10 @@ def acceptance_report():
 @pytest.fixture
 def scored_metrics(monkeypatch):
     """``scored_metrics(decoder, inp, relay=None)`` decodes one frame with
-    ``decode_frame`` and returns how many candidate metrics the batch
-    kernel scored: the elements of every ``sqdist`` result it computed."""
+    ``decode_frame``, on the frame's Latin-square relay unless ``relay``
+    gives another ``(code, constellation)``, and returns how many candidate
+    metrics the batch kernel scored: the elements of every ``sqdist``
+    result it computed."""
     from marc_pnc import destination
     from marc_pnc.numerics import sqdist
 

@@ -6,7 +6,6 @@ keeps at least the 50-error statistical floor.  Each test registers a
 PASS/FAIL line that the conftest hook prints in the terminal summary.
 """
 
-import math
 import time
 
 import numpy as np
@@ -17,19 +16,12 @@ from marc_pnc.cli import SCENARIOS, snr_at_sep
 from marc_pnc.destination import DecodeInput, fast_decode, novel_decode_exhaustive_batch
 from marc_pnc.diversity import estimate_diversity, probability_window
 from marc_pnc.montecarlo import SweepSpec, equivalence_battery, run_sweep
-from marc_pnc.netmap import check_exclusive_law, modulo_latin, xor_latin
+from marc_pnc.netmap import modulo_latin
 from marc_pnc.numerics import RngStream, qr_2x3
-from marc_pnc.scheme import (
-    SchemeConstants,
-    check_full_rank_condition,
-    check_hr_orthogonal,
-    example1_constants,
-    weight_matrices,
-)
+from marc_pnc.scheme import design_checks, example1_constants
 from marc_pnc.signalset import make_psk
 from marc_pnc.sweepio import curve_to_csv
 
-INV = 1.0 / math.sqrt(2.0)
 EQUAL = PROFILE_PRESETS["equal"]
 
 
@@ -107,29 +99,12 @@ class TestCriterion1FastDecoderEquivalence:
 
 class TestCriterion2AlgebraicCheckers:
     def test_checkers(self, acceptance_report):
-        ok = True
-        for m in (2, 4, 8, 16):
-            ok &= check_exclusive_law(modulo_latin(m).cells)
-            ok &= check_exclusive_law(xor_latin(m).cells)
-        violators = (
-            [[0] * 4 for _ in range(4)],
-            [[r] * 4 for r in range(4)],
-            [[0, 1, 2, 3], [0, 1, 2, 3], [2, 3, 0, 1], [3, 0, 1, 2]],
+        checks = [check for group in design_checks().values() for check in group]
+        failed = [label for label, ok in checks if not ok]
+        acceptance_report(
+            "criterion 2: exclusive law, full rank, weight-matrix orthogonality", not failed, f"{len(checks)} checks"
         )
-        ok &= all(not check_exclusive_law(v) for v in violators)
-
-        k1 = example1_constants(1.0)
-        ok &= check_full_rank_condition(k1, make_psk(4))
-        ok &= check_full_rank_condition(k1, make_psk(8))
-        flat = SchemeConstants(a=INV, b=INV, c=INV, d=INV, es=1.0)
-        ok &= not check_full_rank_condition(flat, make_psk(4))
-
-        wm = weight_matrices(k1)
-        ok &= check_hr_orthogonal(wm.wa, wm.wr, tol=1e-12)
-        ok &= not check_hr_orthogonal(wm.wb, wm.wr, tol=1e-12)
-
-        acceptance_report("criterion 2: exclusive law, full rank, weight-matrix orthogonality", ok)
-        assert ok
+        assert len(checks) == 16 and not failed, failed
 
 
 class TestCriterion3QrStructure:

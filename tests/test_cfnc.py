@@ -26,9 +26,9 @@ CFNC4 = SweepSpec(snr_points_db=(0.0,), trials_per_point=1, profile=PROFILE_PRES
 def relay_and_decode(d: BatchDraws, k):
     """Relay and decode frames through the sweep engine's cfnc path;
     returns what the relay and the destination decided."""
-    code, relay_pts = CFNC4.relay_tables()
-    rx = transmit(d, k, PTS4, code, relay_pts)
-    da, db, _ = joint_min_distance(rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, PTS4, relay_pts)
+    relay = CFNC4.relay()
+    rx = transmit(d, k, PTS4, *relay)
+    da, db, _ = joint_min_distance(rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, PTS4, *relay)
     return rx, da, db
 
 
@@ -63,6 +63,14 @@ class TestUniqueness:
             CfncConfig(theta=2.0 + 0.0j, power_norm=1.0)
         with pytest.raises(ValueError, match="power_norm"):
             CfncConfig(theta=1j, power_norm=0.0)
+        with pytest.raises(ValueError, match="theta"):
+            CfncConfig(theta=complex(math.nan, 0.0), power_norm=1.0)
+
+    @pytest.mark.parametrize("theta", [complex(math.inf, 0.0), complex(math.nan, 0.0), complex(0.0, -math.inf)])
+    def test_make_config_rejects_a_non_finite_theta(self, theta):
+        # rejected as such, before the uniqueness scan computes with it
+        with pytest.raises(ValueError, match="theta must be finite"):
+            make_cfnc_config(S4, theta)
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     @pytest.mark.parametrize("case", ["theta=1", "theta=1,tol=0", "default-theta", "half-step"])
@@ -86,12 +94,12 @@ class TestRelayConstellation:
     def test_power_norm_gives_unit_mean_energy(self):
         cfg = make_cfnc_config(S4)
         assert cfg.power_norm == pytest.approx(1.0 / math.sqrt(2.0))
-        energies = [abs(z) ** 2 for z in cfg.relay_points(S4.points).ravel().tolist()]
+        energies = [abs(z) ** 2 for z in cfg.relay_points(S4.points).tolist()]
         assert sum(energies) / 16 == pytest.approx(1.0)
 
     def test_m_squared_distinct_points(self):
         cfg = make_cfnc_config(S4)
-        pts = {(round(z.real, 9), round(z.imag, 9)) for z in cfg.relay_points(S4.points).ravel().tolist()}
+        pts = {(round(z.real, 9), round(z.imag, 9)) for z in cfg.relay_points(S4.points).tolist()}
         assert len(pts) == 16
 
 
@@ -126,6 +134,7 @@ class TestCfncFrames:
 
     def test_destination_matches_grid_oracle(self):
         cfg = make_cfnc_config(S4)
+        relay = CFNC4.relay()
         k = example1_constants(6.0)
         rng = RngStream(300, 0)
         for _ in range(1000):
@@ -133,7 +142,7 @@ class TestCfncFrames:
             y_d1 = rng.gaussian(4.0)
             y_d2 = rng.gaussian(4.0)
             inp = DecodeInput(y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=S4)
-            out = decode_frame(joint_min_distance, inp, relay=cfg.relay_points(S4.points))
+            out = decode_frame(joint_min_distance, inp, relay=relay)
             assert out[:2] == destination_oracle(y_d1, y_d2, h, k, S4, cfg)
 
     def test_noisy_frames_mostly_correct_at_high_snr(self):

@@ -89,6 +89,8 @@ class TestSweep:
             (["--var-ar-db", "4000"], "4000.0 dB"),
             (["--var-ar-db", "inf"], "var_ar must be finite"),
             (["--b-im", "nan", "--decoder", "min-euclid"], "b must be finite"),
+            (["--theta-re", "inf", "--decoder", "cfnc"], "theta must be finite"),
+            (["--theta-re", "nan", "--decoder", "cfnc"], "theta must be finite"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):

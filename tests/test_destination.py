@@ -34,13 +34,6 @@ def make_input(y_d1, y_d2, h, k, s=S4, f=MOD4) -> DecodeInput:
     return DecodeInput(y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f)
 
 
-def relay_points(inp: DecodeInput) -> np.ndarray:
-    """The point the frame's relay sends for each decoded pair: the
-    network-coded symbol of its Latin-square map."""
-    pts = np.asarray(inp.signal_set.points, dtype=np.complex128)
-    return pts[np.asarray(inp.relay_map.cells)]
-
-
 def random_decode_input(rng: RngStream, es: float, k=None, profile=None, force_relay_error=False, s=S4, f=MOD4):
     """One random frame through the true protocol, returning the decode
     input plus the transmitted indices and the relay decision."""
@@ -216,7 +209,7 @@ class TestMinEuclideanDecode:
         for ia in range(4):
             for ib in range(4):
                 inp = noiseless_relay_correct_input(ia, ib, es=5.0)
-                assert decode_frame(joint_min_distance, inp, relay=relay_points(inp)) == (ia, ib, True)
+                assert decode_frame(joint_min_distance, inp) == (ia, ib, True)
 
     def test_matches_independent_scan(self):
         rng = RngStream(106, 0)
@@ -227,20 +220,13 @@ class TestMinEuclideanDecode:
                 for ib in range(4):
                     rows.append((metric_m1(inp, S4.points[ia], S4.points[ib]), ia, ib))
             rows.sort()
-            assert decode_frame(joint_min_distance, inp, relay=relay_points(inp))[:2] == rows[0][1:]
+            assert decode_frame(joint_min_distance, inp)[:2] == rows[0][1:]
 
     def test_works_below_unit_energy(self):
         rng = RngStream(107, 0)
         k = example1_constants(0.25)
         inp, _, _ = random_decode_input(rng, es=0.25, k=k)
-        decode_frame(joint_min_distance, inp, relay=relay_points(inp))  # no exception
-
-    def test_an_integer_code_table_is_rejected(self):
-        inp = noiseless_relay_correct_input(1, 2, es=5.0)
-        with pytest.raises(TypeError, match="relay_points"):
-            decode_frame(joint_min_distance, inp)  # the default relay table is the integer cells
-        with pytest.raises(TypeError, match="relay_points"):
-            decode_frame(joint_min_distance, inp, relay=np.asarray(inp.relay_map.cells, dtype=np.float64))
+        decode_frame(joint_min_distance, inp)  # no exception
 
 
 def plain_per_pair_scan(inp: DecodeInput):
@@ -294,7 +280,7 @@ class TestNovelDecodeExhaustive:
         assert per_pair[(ia, ib)] == pytest.approx(ln_es)
 
         assert novel_decode_exhaustive(inp) == (ia, ib, False)
-        assert decode_frame(joint_min_distance, inp, relay=relay_points(inp))[:2] == (1, 0)
+        assert decode_frame(joint_min_distance, inp)[:2] == (1, 0)
 
     def test_matches_metric_level_oracle(self):
         rng = RngStream(108, 0)
@@ -452,4 +438,4 @@ class TestEvalCounts:
         # per x_A: p1 over every x_B, p2 over every (x_B, relay symbol)
         assert scored_metrics(novel_decode_exhaustive_batch, inp) == m**3 + m * m
         # per pair: one phase-1 and one phase-2 residual
-        assert scored_metrics(joint_min_distance, inp, relay_points(inp)) == 2 * m * m
+        assert scored_metrics(joint_min_distance, inp) == 2 * m * m

@@ -165,7 +165,7 @@ def oracle_inputs():
                     d = draw_batch(gen, PROFILE_PRESETS["equal"], m, ORACLE_FRAMES)
                     forced = gen.random(ORACLE_FRAMES) < 0.5
                     x_forced = pts[gen.integers(0, m, size=ORACLE_FRAMES)]
-                    rx = transmit(d, k, pts, cells, pts[cells])
+                    rx = transmit(d, k, pts, cells, pts)
                     x_r = np.where(forced, x_forced, pts[cells[rx.relay_a, rx.relay_b]])
                     root = math.sqrt(es)
                     y_d2 = d.h_ad * (root * k.c) * pts[d.ia] + d.h_bd * (root * k.d) * pts[d.ib] + d.h_rd * root * x_r + d.z_d2

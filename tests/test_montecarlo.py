@@ -122,27 +122,25 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
     arithmetic (``montecarlo.transmit``), then hold it and each batch kernel
     to an independent reference: scalar ``phase1``/``phase2`` and the Latin
     cells for ``transmit`` (under both the Latin-square and the cfnc relay
-    tables), scalar relay ML for the relay, the scalar exhaustive rule for
+    of ``SweepSpec.relay``), scalar relay ML for the relay, the scalar exhaustive rule for
     both aware decoders, a metric_m1 scan for minimum distance and the grid
     oracle of test_cfnc for the baseline."""
     s = spec.signal_set()
     f = spec.relay_map()
     pts = np.asarray(s.points)
-    cells = np.asarray(f.cells)
     k = spec.constants_at(snr_db)
     cfnc_spec = dataclasses.replace(spec, decoder="cfnc")
     cfg = cfnc_spec.cfnc_config()
     d = draw_batch(np.random.Generator(philox_bits(123, 9)), EQUAL, spec.m, n)
-    code, relay_pts = spec.relay_tables()
-    cfnc_code, cfnc_pts = cfnc_spec.relay_tables()
-    y_r, y_d1, y_d2, ra, rb, nc_wrong = transmit(d, k, pts, code, relay_pts)
-    combined = transmit(d, k, pts, cfnc_code, cfnc_pts)
+    latin, cfnc = spec.relay(), cfnc_spec.relay()
+    y_r, y_d1, y_d2, ra, rb, nc_wrong = transmit(d, k, pts, *latin)
+    combined = transmit(d, k, pts, *cfnc)
 
     frames = (y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
-    fast = np.stack(fast_decode(*frames, cells), axis=1).tolist()
-    exhaustive = np.stack(novel_decode_exhaustive_batch(*frames, cells), axis=1).tolist()
-    naive = np.stack(joint_min_distance(*frames, relay_pts)[:2], axis=1).tolist()
-    combining = np.stack(joint_min_distance(*frames, cfnc_pts)[:2], axis=1).tolist()
+    fast = np.stack(fast_decode(*frames, *latin), axis=1).tolist()
+    exhaustive = np.stack(novel_decode_exhaustive_batch(*frames, *latin), axis=1).tolist()
+    naive = np.stack(joint_min_distance(*frames, *latin)[:2], axis=1).tolist()
+    combining = np.stack(joint_min_distance(*frames, *cfnc)[:2], axis=1).tolist()
 
     def close(z, want):
         # transmit associates the products differently, so not bit-exact
@@ -205,6 +203,30 @@ class TestChunking:
         assert chunked.trials == n and chunked.relay_wrong > 0 and chunked.errors_relay_correct > 0
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", n)  # one unchunked kernel call per stage
         assert montecarlo.simulate_batch(spec, 4.0, 0, 5, n) == chunked
+
+    @pytest.mark.parametrize(
+        "decoder,kernel",
+        [("fast", "fast_decode"), ("novel-exhaustive", "novel_decode_exhaustive_batch"),
+         ("min-euclid", "joint_min_distance"), ("cfnc", "joint_min_distance")],
+    )
+    def test_each_chunk_calls_its_kernel_through_this_module(self, decoder, kernel, monkeypatch):
+        # the benchmark's trace and TestEquivalenceBattery wrap kernels here
+        calls = []
+
+        def counting(name):
+            real = getattr(montecarlo, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            return call
+
+        for name in ("fast_decode", "novel_decode_exhaustive_batch", "joint_min_distance"):
+            monkeypatch.setattr(montecarlo, name, counting(name))
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 100)
+        montecarlo.simulate_batch(small_spec(decoder=decoder), 10.0, 0, 0, 250)
+        assert calls == [kernel] * 3
 
 
 class TestEquivalenceBattery:

@@ -39,11 +39,11 @@ PROFILES = {"equal": PROFILE_PRESETS["equal"], "ar-strong": FadingProfile.from_d
 def relay_pair_error_rate(spec: SweepSpec, snr_db: float) -> float:
     k = spec.constants_at(snr_db)
     pts = np.asarray(spec.signal_set().points, dtype=np.complex128)
-    code, relay_pts = spec.relay_tables()
+    relay = spec.relay()
     wrong = 0
     for batch in range(BATCHES):
         d = draw_batch(np.random.Generator(philox_bits(spec.seed, batch)), spec.profile, spec.m, BATCH_SIZE)
-        rx = transmit(d, k, pts, code, relay_pts)
+        rx = transmit(d, k, pts, *relay)
         wrong += np.count_nonzero((rx.relay_a != d.ia) | (rx.relay_b != d.ib))
     return wrong / (BATCHES * BATCH_SIZE)
 
