@@ -16,9 +16,7 @@ from .channel import (
     sample_channel,
 )
 from .destination import (
-    DecodeInput,
     HrOrthogonalityError,
-    decode_frame,
     fast_decode,
     joint_min_distance,
     metric_m1,

@@ -20,13 +20,14 @@ Each decoder has one implementation, which works on a batch of frames
 (arrays with one entry per frame) and takes the relay as ``SweepSpec.relay``
 gives it, ``(code, constellation)``: for a decoded pair (ia, ib) the relay
 sends ``constellation[code[ia, ib]]``, one of the M source points under a
-Latin-square map or one of the M^2 combined points under cfnc.
-``decode_frame`` runs any of them on a single ``DecodeInput``.  Every
+Latin-square map or one of the M^2 combined points under cfnc.  Every
 decoder reports a frame's decision as (index_a, index_b, relay_correct):
 the decoded pair, and whether the trust-the-relay hypothesis won.  The
 scalar ``novel_decode_exhaustive`` and the metric functions are kept as the
-independent reference that the batch decoders are tested against;
-``novel_decode_exhaustive_batch`` is the exhaustive rule as sweeps run it.
+independent reference that the batch decoders are tested against; they
+take the same arguments for one frame, as Python numbers and sequences,
+so they read either relay.  ``novel_decode_exhaustive_batch`` is the
+exhaustive rule as sweeps run it.
 
 log(es) is the natural logarithm: the metrics are Gaussian
 log-likelihoods, so base e is the only consistent reading.  Both aware
@@ -57,33 +58,11 @@ to 677 of 4,608 such frames, depending on the QR's rounding): like NaN for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .netmap import LatinSquare
 from .numerics import first_min, first_pair_min, qr_2x3, sqdist, symbol_terms
 from .scheme import SchemeConstants, check_hr_orthogonal, weight_matrices
-from .signalset import SignalSet
-
-
-@dataclass(frozen=True)
-class DecodeInput:
-    """Everything the destination sees for one frame.  The cfnc baseline's
-    relay combines instead of mapping, so its frames carry no relay map."""
-
-    y_d1: complex
-    y_d2: complex
-    h_ad: complex
-    h_bd: complex
-    h_rd: complex
-    constants: SchemeConstants
-    signal_set: SignalSet
-    relay_map: LatinSquare | None = None
-
-    def __post_init__(self) -> None:
-        if self.relay_map is not None and self.relay_map.order != self.signal_set.m:
-            raise ValueError("relay map order and constellation size differ")
 
 
 class HrOrthogonalityError(ValueError):
@@ -95,23 +74,22 @@ def _require_unit_snr(k: SchemeConstants) -> None:
         raise ValueError(f"relay-error-aware decoding requires es >= 1 (got {k.es})")
 
 
-def _phase_terms(inp: DecodeInput):
+def _phase_terms(h_ad, h_bd, h_rd, k: SchemeConstants, pts, constellation):
     """Per-symbol signal terms for both phases: subtracting one entry from
-    each list gives the noiseless hypothesis for a candidate triple."""
-    k = inp.constants
+    each list gives the noiseless hypothesis for a candidate triple.  The
+    relay's terms are one per point of its constellation."""
     root_es = math.sqrt(k.es)
-    ga1 = inp.h_ad * root_es * k.a
-    gb1 = inp.h_bd * root_es * k.b
-    ga2 = inp.h_ad * root_es * k.c
-    gb2 = inp.h_bd * root_es * k.d
-    gr = inp.h_rd * root_es
-    pts = inp.signal_set.points
+    ga1 = h_ad * root_es * k.a
+    gb1 = h_bd * root_es * k.b
+    ga2 = h_ad * root_es * k.c
+    gb2 = h_bd * root_es * k.d
+    gr = h_rd * root_es
     return (
         [ga1 * p for p in pts],
         [gb1 * p for p in pts],
         [ga2 * p for p in pts],
         [gb2 * p for p in pts],
-        [gr * p for p in pts],
+        [gr * p for p in constellation],
     )
 
 
@@ -119,51 +97,40 @@ def _sq(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-def metric_m1(inp: DecodeInput, xa: complex, xb: complex) -> float:
-    """Two-phase squared residual assuming the relay sent f(xa, xb)."""
-    ia = inp.signal_set.index_of(xa)
-    ib = inp.signal_set.index_of(xb)
-    a1, b1, a2, b2, r2 = _phase_terms(inp)
-    fidx = inp.relay_map.cells[ia][ib]
-    return _sq(inp.y_d1 - a1[ia] - b1[ib]) + _sq(inp.y_d2 - a2[ia] - b2[ib] - r2[fidx])
+def _pair_residuals(y1, y2, h_ad, h_bd, h_rd, k, pts, constellation, ia, ib):
+    """Pair (ia, ib)'s phase-1 squared residual, its phase-2 residual before
+    the relay term, and every relay symbol's term."""
+    a1, b1, a2, b2, r2 = _phase_terms(h_ad, h_bd, h_rd, k, pts, constellation)
+    return _sq(y1 - a1[ia] - b1[ib]), y2 - a2[ia] - b2[ib], r2
 
 
-def metric_m2(inp: DecodeInput, xa: complex, xb: complex) -> float:
+def metric_m1(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation, ia: int, ib: int) -> float:
+    """Two-phase squared residual of pair (ia, ib), assuming the relay sent
+    ``constellation[code[ia][ib]]``."""
+    p1, base2, r2 = _pair_residuals(y1, y2, h_ad, h_bd, h_rd, k, pts, constellation, ia, ib)
+    return p1 + _sq(base2 - r2[code[ia][ib]])
+
+
+def metric_m2(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation, ia: int, ib: int) -> float:
     """Phase-1 residual plus the best phase-2 residual over relay symbols
-    other than f(xa, xb) -- the relay-sent-something-else hypothesis."""
-    ia = inp.signal_set.index_of(xa)
-    ib = inp.signal_set.index_of(xb)
-    a1, b1, a2, b2, r2 = _phase_terms(inp)
-    fidx = inp.relay_map.cells[ia][ib]
-    base2 = inp.y_d2 - a2[ia] - b2[ib]
-    best = math.inf
-    for r in range(inp.signal_set.m):
-        if r == fidx:
-            continue
-        v = _sq(base2 - r2[r])
-        if v < best:
-            best = v
-    return _sq(inp.y_d1 - a1[ia] - b1[ib]) + best
+    other than ``code[ia][ib]`` -- the relay-sent-something-else hypothesis."""
+    p1, base2, r2 = _pair_residuals(y1, y2, h_ad, h_bd, h_rd, k, pts, constellation, ia, ib)
+    return p1 + min(_sq(base2 - t) for r, t in enumerate(r2) if r != code[ia][ib])
 
 
-def metric_m3(inp: DecodeInput, xa: complex, xb: complex) -> float:
+def metric_m3(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation, ia: int, ib: int) -> float:
     """As m2 but minimising over every relay symbol; equals min(m1, m2)."""
-    ia = inp.signal_set.index_of(xa)
-    ib = inp.signal_set.index_of(xb)
-    a1, b1, a2, b2, r2 = _phase_terms(inp)
-    base2 = inp.y_d2 - a2[ia] - b2[ib]
-    best = min(_sq(base2 - r2[r]) for r in range(inp.signal_set.m))
-    return _sq(inp.y_d1 - a1[ia] - b1[ib]) + best
+    p1, base2, r2 = _pair_residuals(y1, y2, h_ad, h_bd, h_rd, k, pts, constellation, ia, ib)
+    return p1 + min(_sq(base2 - t) for t in r2)
 
 
-def metric_m4(inp: DecodeInput, xa: complex, xb: complex, xr: complex) -> float:
+def metric_m4(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, xa: complex, xb: complex, xr: complex) -> float:
     """Two-phase residual with an explicit relay symbol, plus the log(es)
     relay-error penalty.  xa, xb, xr may be arbitrary complex values."""
-    _require_unit_snr(inp.constants)
-    k = inp.constants
+    _require_unit_snr(k)
     root_es = math.sqrt(k.es)
-    res1 = inp.y_d1 - inp.h_ad * root_es * k.a * xa - inp.h_bd * root_es * k.b * xb
-    res2 = inp.y_d2 - inp.h_ad * root_es * k.c * xa - inp.h_bd * root_es * k.d * xb - inp.h_rd * root_es * xr
+    res1 = y1 - h_ad * root_es * k.a * xa - h_bd * root_es * k.b * xb
+    res2 = y2 - h_ad * root_es * k.c * xa - h_bd * root_es * k.d * xb - h_rd * root_es * xr
     return _sq(res1) + _sq(res2) + math.log(k.es)
 
 
@@ -171,15 +138,20 @@ def _pairs(zs) -> list[tuple[float, float]]:
     return [(z.real, z.imag) for z in zs]
 
 
-def novel_decode_exhaustive(inp: DecodeInput) -> tuple[int, int, bool]:
+def novel_decode_exhaustive(
+    y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation
+) -> tuple[int, int, bool]:
     """Relay-error-aware decoding by direct evaluation (O(M^3) work).
 
-    Minimises min(m1, log(es) + m2) over all pairs and returns
-    (index_a, index_b, relay_correct), as every batch decoder does for
-    each frame.  relay_correct is the branch of the winning x_B: its best
-    trust-the-relay metric against its best penalised any-relay-symbol
-    metric, exactly as the fast algorithm compares them, so the two
-    implementations are interchangeable.
+    Takes the batch decoders' arguments for one frame, as Python numbers
+    and sequences (``SignalSet.points``, ``LatinSquare.cells`` or an
+    array's ``.tolist()``).  Minimises min(m1, log(es) + m2) over all pairs
+    and returns (index_a, index_b, relay_correct), as every batch decoder
+    does for each frame.  relay_correct is the branch of the winning x_B:
+    its best trust-the-relay metric against its best penalised
+    any-relay-symbol metric, exactly as the fast algorithm compares them,
+    so the two implementations are interchangeable.  A ``code`` whose
+    shape is not M x M for the M points of ``pts`` raises ``ValueError``.
 
     This is the independent reference the batch decoders are tested
     against, so it stays pure Python, one frame at a time.  Its floats are
@@ -188,25 +160,26 @@ def novel_decode_exhaustive(inp: DecodeInput) -> tuple[int, int, bool]:
     taken once per x_A, and the real and imaginary parts are subtracted
     and squared separately, as complex subtraction and ``_sq`` do.
     """
-    _require_unit_snr(inp.constants)
-    ln_es = math.log(inp.constants.es)
-    a1, b1, a2, b2, r2 = _phase_terms(inp)
-    u1 = _pairs(inp.y_d1 - z for z in a1)
-    u2 = _pairs(inp.y_d2 - z for z in a2)
+    _require_unit_snr(k)
+    ln_es = math.log(k.es)
+    a1, b1, a2, b2, r2 = _phase_terms(h_ad, h_bd, h_rd, k, pts, constellation)
+    u1 = _pairs(y1 - z for z in a1)
+    u2 = _pairs(y2 - z for z in a2)
     rel = _pairs(r2)
     # Per relay symbol f: its term, and every other symbol's in ascending order.
     relay = [(rr, ri, rel[:f] + rel[f + 1 :]) for f, (rr, ri) in enumerate(rel)]
 
-    # x_B outermost; per x_B, the first x_A achieving the best m1 and the
-    # best m3 = min(m1, m2), then the strict branch comparison.
+    # x_B outermost, reading code column by column; per x_B, the first x_A
+    # achieving the best m1 and the best m3 = min(m1, m2), then the strict
+    # branch comparison.
     best_m = math.inf
     pick = (0, 0, False)
-    for ib, col in enumerate(zip(*inp.relay_map.cells)):
-        b1r, b1i = b1[ib].real, b1[ib].imag
-        b2r, b2i = b2[ib].real, b2[ib].imag
+    for ib, (tb1, tb2, col) in enumerate(zip(b1, b2, zip(*code), strict=True)):
+        b1r, b1i = tb1.real, tb1.imag
+        b2r, b2i = tb2.real, tb2.imag
         best1 = best3 = math.inf
         arg1 = arg3 = 0
-        for ia, ((u1r, u1i), (u2r, u2i), fidx) in enumerate(zip(u1, u2, col)):
+        for ia, ((u1r, u1i), (u2r, u2i), fidx) in enumerate(zip(u1, u2, col, strict=True)):
             dr = u1r - b1r
             di = u1i - b1i
             p1 = dr * dr + di * di
@@ -243,30 +216,25 @@ def novel_decode_exhaustive(inp: DecodeInput) -> tuple[int, int, bool]:
 
 
 def phi_metrics(
-    inp: DecodeInput,
+    k: SchemeConstants,
     r: np.ndarray,
     ytilde: tuple[complex, complex],
     xa: complex,
     xb: complex,
+    xf: complex,
     xr: complex,
 ) -> tuple[float, float, float]:
     """The three rotated-coordinate metrics used by the fast algorithm.
 
     ``r`` is the 2x3 upper-triangular factor from ``qr_2x3`` of this
     frame's equivalent channel and ``ytilde`` the received pair rotated by
-    the matching q*.  The second metric needs the network-coded point for
-    (xa, xb); for values outside the constellation (no defined relay
-    hypothesis) that term is taken as 0.
+    the matching q*.  ``xf`` is the point the relay sends for (xa, xb),
+    which the second metric assumes, and ``xr`` the third metric's relay
+    symbol.
     """
-    root_es = math.sqrt(inp.constants.es)
-    try:
-        ia = inp.signal_set.index_of(xa)
-        ib = inp.signal_set.index_of(xb)
-        fpoint = inp.signal_set.points[inp.relay_map.cells[ia][ib]]
-    except ValueError:
-        fpoint = 0.0j
+    root_es = math.sqrt(k.es)
     phi1 = _sq(ytilde[0] - r[0, 1] * xb * root_es - r[0, 0] * xa * root_es)
-    phi2 = _sq(ytilde[1] - r[1, 1] * xb * root_es - r[1, 2] * fpoint * root_es)
+    phi2 = _sq(ytilde[1] - r[1, 1] * xb * root_es - r[1, 2] * xf * root_es)
     phi3 = _sq(ytilde[1] - r[1, 1] * xb * root_es - r[1, 2] * xr * root_es)
     return phi1, phi2, phi3
 
@@ -407,17 +375,3 @@ def joint_min_distance(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, 
         sqdist(y1 - a1t[ia], b1t) + sqdist(y2 - a2t[ia] - b2t, symbol_terms(gr, sent[ia])) for ia in range(m)
     )
     return best_a, best_b, np.ones(n, dtype=bool)
-
-
-def decode_frame(decoder, inp: DecodeInput, relay=None) -> tuple[int, int, bool]:
-    """Run a batch decoder on one frame, as a batch of one.
-
-    ``relay`` is the relay's ``(code, constellation)``; it defaults to the
-    frame's Latin-square relay, ``(cells, pts)``.
-    """
-    pts = np.asarray(inp.signal_set.points, dtype=np.complex128)
-    if relay is None:
-        relay = np.asarray(inp.relay_map.cells, dtype=np.int64), pts
-    one = (np.array([z], dtype=np.complex128) for z in (inp.y_d1, inp.y_d2, inp.h_ad, inp.h_bd, inp.h_rd))
-    a, b, correct = decoder(*one, inp.constants, pts, *relay)
-    return int(a[0]), int(b[0]), bool(correct[0])

@@ -31,6 +31,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -41,7 +42,6 @@ import numpy as np
 from .cfnc import DEFAULT_THETA, CfncConfig, make_cfnc_config
 from .channel import (
     PROFILE_PRESETS,
-    ChannelRealization,
     FadingProfile,
     db_to_linear,
     phase1,
@@ -49,7 +49,6 @@ from .channel import (
     sample_channel,
 )
 from .destination import (
-    DecodeInput,
     fast_decode,
     joint_min_distance,
     novel_decode_exhaustive,
@@ -130,6 +129,15 @@ class SweepSpec:
         # float) is checked by building the constants of every point.
         for p in pts:
             k = self.constants_at(p)
+        # A residual is sqrt(es) times the fade-weighted differences of at
+        # most three symbols (weights of modulus <= 1; differences <= 2, or
+        # 2 sqrt(2) between cfnc points) plus unit noise, so a squared metric,
+        # summed over both phases, stays below (4^2 + (4 + 2 sqrt(2))^2) es |h|^2
+        # < 63 es |h|^2 for the largest fade h.  A Rayleigh fade's power exceeds
+        # 100 times its variance with probability e^-100; so es times the
+        # largest variance, times 1e4 > 6300, must fit a float.
+        if k.es * max(dataclasses.astuple(self.profile)) > sys.float_info.max / 1e4:
+            raise ValueError(f"snr_points_db: {pts[-1]} dB is too large, its squared metrics overflow a float")
         if self.decoder == "fast":
             role_swap(k)  # raises HrOrthogonalityError if no pairing holds
         elif self.decoder == "cfnc":
@@ -249,14 +257,6 @@ class BatchDraws:
     z_r: np.ndarray
     z_d1: np.ndarray
     z_d2: np.ndarray
-
-    def frame(self, i: int) -> tuple[int, int, ChannelRealization, complex, complex, complex]:
-        """Scalar view of one frame, for engine audits."""
-        h = ChannelRealization(
-            h_ar=complex(self.h_ar[i]), h_br=complex(self.h_br[i]), h_ad=complex(self.h_ad[i]),
-            h_bd=complex(self.h_bd[i]), h_rd=complex(self.h_rd[i]),
-        )
-        return int(self.ia[i]), int(self.ib[i]), h, complex(self.z_r[i]), complex(self.z_d1[i]), complex(self.z_d2[i])
 
     def chunk(self, start: int, stop: int) -> "BatchDraws":
         """Frames start..stop-1, as views."""
@@ -458,7 +458,7 @@ def equivalence_battery(
         for pname, profile in PROFILE_PRESETS.items():
             rng = RngStream(seed, cell)
             cell += 1
-            inputs = []
+            received = []  # per frame, what the destination sees: (y_d1, y_d2, h_ad, h_bd, h_rd)
             for _ in range(frames_per_cell):
                 ia = rng.index(m)
                 ib = rng.index(m)
@@ -475,18 +475,14 @@ def equivalence_battery(
                     nc_idx = wrong if wrong < true_nc else wrong + 1
                     x_r = s.points[nc_idx]
                 else:
-                    ra, rb = relay_ml_decode(y_r, h, k, s)
+                    ra, rb = relay_ml_decode(y_r, h.h_ar, h.h_br, k, s.points)
                     x_r = s.points[f.cells[ra][rb]]
                 y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
-                inputs.append(DecodeInput(
-                    y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd,
-                    constants=k, signal_set=s, relay_map=f,
-                ))
-            columns = (np.array([getattr(inp, name) for inp in inputs], dtype=np.complex128)
-                       for name in ("y_d1", "y_d2", "h_ad", "h_bd", "h_rd"))
+                received.append((y_d1, y_d2, h.h_ad, h.h_bd, h.h_rd))
+            columns = (np.array(column, dtype=np.complex128) for column in zip(*received))
             fa, fb, fcorrect = fast_decode(*columns, k, pts, cells, pts)
-            for inp, got in zip(inputs, zip(fa.tolist(), fb.tolist(), fcorrect.tolist())):
-                ref = novel_decode_exhaustive(inp)
+            for frame, got in zip(received, zip(fa.tolist(), fb.tolist(), fcorrect.tolist())):
+                ref = novel_decode_exhaustive(*frame, k, s.points, f.cells, s.points)
                 frames += 1
                 if got != ref:
                     mismatches += 1

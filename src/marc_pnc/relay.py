@@ -2,8 +2,10 @@
 
 The relay sees a single superposed sample per frame and jointly detects the
 transmitted index pair over all M^2 candidates.  Exhaustive search is kept
-deliberately (M <= 64 here): it is exact and easy to audit; the scalar
-``relay_ml_decode`` is the reference its batch form is tested against.
+deliberately (M <= 64 here): it is exact and easy to audit.  The scalar
+``relay_ml_decode`` takes the arguments of its batch form for one frame, as
+Python numbers and a sequence of points, and is the reference the batch
+form is tested against.
 """
 
 from __future__ import annotations
@@ -12,18 +14,11 @@ import math
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .numerics import first_pair_min, sqdist, symbol_terms
 from .scheme import SchemeConstants
-from .signalset import SignalSet
 
 
-def relay_ml_decode(
-    y_r: complex,
-    h: ChannelRealization,
-    k: SchemeConstants,
-    s: SignalSet,
-) -> tuple[int, int]:
+def relay_ml_decode(y_r: complex, h_ar: complex, h_br: complex, k: SchemeConstants, pts) -> tuple[int, int]:
     """Jointly detect (index_a, index_b) by minimum squared residual.
 
     Ties break to the lexicographically smallest (index_a, index_b); scans
@@ -31,10 +26,10 @@ def relay_ml_decode(
     the result reproducible bit-for-bit.
     """
     root_es = math.sqrt(k.es)
-    ga = h.h_ar * root_es * k.a
-    gb = h.h_br * root_es * k.b
-    terms_a = [ga * p for p in s.points]
-    terms_b = [gb * p for p in s.points]
+    ga = h_ar * root_es * k.a
+    gb = h_br * root_es * k.b
+    terms_a = [ga * p for p in pts]
+    terms_b = [gb * p for p in pts]
     best = math.inf
     best_pair = (0, 0)
     for ia, ta in enumerate(terms_a):

@@ -33,13 +33,6 @@ class SignalSet:
     def m(self) -> int:
         return len(self.points)
 
-    def index_of(self, x: complex, tol: float = 1e-9) -> int:
-        """Index of the constellation point equal to x (within tol)."""
-        for k, p in enumerate(self.points):
-            if abs(p - x) <= tol:
-                return k
-        raise ValueError(f"{x!r} is not a constellation point")
-
 
 def make_psk(m: int) -> SignalSet:
     """M-PSK with points exp(i*2*pi*k/M), k = 0..M-1."""

@@ -15,6 +15,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -37,10 +38,10 @@ def acceptance_report():
 
 @pytest.fixture
 def scored_metrics(monkeypatch):
-    """``scored_metrics(decoder, inp, relay=None)`` decodes one frame with
-    ``decode_frame``, on the frame's Latin-square relay unless ``relay``
-    gives another ``(code, constellation)``, and returns how many candidate
-    metrics the batch kernel scored: the elements of every ``sqdist``
+    """``scored_metrics(decoder, y1, y2, h_ad, h_bd, h_rd, k, pts, code,
+    constellation)`` decodes one frame, given as the scalar reference takes
+    it, with a batch kernel on a batch of one, and returns how many
+    candidate metrics the kernel scored: the elements of every ``sqdist``
     result it computed."""
     from marc_pnc import destination
     from marc_pnc.numerics import sqdist
@@ -55,10 +56,11 @@ def scored_metrics(monkeypatch):
 
     monkeypatch.setattr(destination, "sqdist", counting_sqdist)
 
-    def count(decoder, inp, relay=None) -> int:
+    def count(decoder, y1, y2, h_ad, h_bd, h_rd, k, pts, code, constellation) -> int:
         nonlocal scored
         scored = 0
-        destination.decode_frame(decoder, inp, relay)
+        one = (np.array([z], dtype=np.complex128) for z in (y1, y2, h_ad, h_bd, h_rd))
+        decoder(*one, k, np.asarray(pts), np.asarray(code), np.asarray(constellation))
         return scored
 
     return count

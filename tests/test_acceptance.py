@@ -13,7 +13,7 @@ import pytest
 
 from marc_pnc.channel import PROFILE_PRESETS, sample_channel
 from marc_pnc.cli import SCENARIOS, snr_at_sep
-from marc_pnc.destination import DecodeInput, fast_decode, novel_decode_exhaustive_batch
+from marc_pnc.destination import fast_decode, novel_decode_exhaustive_batch
 from marc_pnc.diversity import estimate_diversity, probability_window
 from marc_pnc.montecarlo import SweepSpec, equivalence_battery, run_sweep
 from marc_pnc.netmap import modulo_latin
@@ -222,12 +222,9 @@ class TestCriterion8ComplexityScaling:
             frames = 25
             for _ in range(frames):
                 h = sample_channel(rng, EQUAL)
-                inp = DecodeInput(
-                    y_d1=rng.gaussian(2.0), y_d2=rng.gaussian(2.0), h_ad=h.h_ad, h_bd=h.h_bd,
-                    h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f,
-                )
-                fast_n += scored_metrics(fast_decode, inp)
-                exh_n += scored_metrics(novel_decode_exhaustive_batch, inp)
+                frame = (rng.gaussian(2.0), rng.gaussian(2.0), h.h_ad, h.h_bd, h.h_rd, k, s.points, f.cells, s.points)
+                fast_n += scored_metrics(fast_decode, *frame)
+                exh_n += scored_metrics(novel_decode_exhaustive_batch, *frame)
             counts[m] = (fast_n / frames, exh_n / frames)
         fast_ratios = (counts[8][0] / counts[4][0], counts[16][0] / counts[8][0])
         exh_ratios = (counts[8][1] / counts[4][1], counts[16][1] / counts[8][1])

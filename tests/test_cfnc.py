@@ -11,7 +11,7 @@ from marc_pnc.cfnc import (
     make_cfnc_config,
 )
 from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS, sample_channel
-from marc_pnc.destination import DecodeInput, decode_frame, joint_min_distance
+from marc_pnc.destination import joint_min_distance
 from marc_pnc.montecarlo import BatchDraws, SweepSpec, draw_batch, transmit
 from marc_pnc.numerics import RngStream, philox_bits
 from marc_pnc.scheme import example1_constants
@@ -134,16 +134,18 @@ class TestCfncFrames:
 
     def test_destination_matches_grid_oracle(self):
         cfg = make_cfnc_config(S4)
-        relay = CFNC4.relay()
         k = example1_constants(6.0)
         rng = RngStream(300, 0)
+        frames = []
         for _ in range(1000):
             h = sample_channel(rng, PROFILE_PRESETS["equal"])
             y_d1 = rng.gaussian(4.0)
             y_d2 = rng.gaussian(4.0)
-            inp = DecodeInput(y_d1=y_d1, y_d2=y_d2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=S4)
-            out = decode_frame(joint_min_distance, inp, relay=relay)
-            assert out[:2] == destination_oracle(y_d1, y_d2, h, k, S4, cfg)
+            frames.append((y_d1, y_d2, h))
+        columns = (np.array(c) for c in zip(*((y1, y2, h.h_ad, h.h_bd, h.h_rd) for y1, y2, h in frames)))
+        da, db, _ = joint_min_distance(*columns, k, PTS4, *CFNC4.relay())
+        for (y_d1, y_d2, h), out in zip(frames, zip(da.tolist(), db.tolist())):
+            assert out == destination_oracle(y_d1, y_d2, h, k, S4, cfg)
 
     def test_noisy_frames_mostly_correct_at_high_snr(self):
         k = example1_constants(10**3.0)

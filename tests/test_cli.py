@@ -91,6 +91,7 @@ class TestSweep:
             (["--b-im", "nan", "--decoder", "min-euclid"], "b must be finite"),
             (["--theta-re", "inf", "--decoder", "cfnc"], "theta must be finite"),
             (["--theta-re", "nan", "--decoder", "cfnc"], "theta must be finite"),
+            (["--snr-db", "3070", "--decoder", "fast"], "3070.0 dB is too large"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):

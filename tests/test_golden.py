@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from marc_pnc.channel import PROFILE_PRESETS
-from marc_pnc.destination import DecodeInput, novel_decode_exhaustive
+from marc_pnc.destination import novel_decode_exhaustive
 from marc_pnc.montecarlo import DECODERS, MAP_KINDS, SweepSpec, draw_batch, run_sweep, transmit
 from marc_pnc.netmap import modulo_latin, xor_latin
 from marc_pnc.numerics import philox_bits
@@ -149,7 +149,8 @@ ORACLE_DIGEST = "ad465d10967f04883e4f88cf81728ebb055524dfaeb9d2f1604837f090a420d
 
 
 def oracle_inputs():
-    """The pinned frame set: (setting, DecodeInput) in a fixed order."""
+    """The pinned frame set: (setting, the oracle's arguments) in a fixed
+    order."""
     stream = 0
     for m in (2, 4, 8, 16):
         s = make_psk(m)
@@ -172,16 +173,13 @@ def oracle_inputs():
                     columns = zip(rx.y_d1.tolist(), y_d2.tolist(), d.h_ad.tolist(), d.h_bd.tolist(), d.h_rd.tolist())
                     label = f"m{m}-{map_kind}-es{es:g}-{'default' if constants == EXAMPLE1_ABCD else 'role-swap'}"
                     for y_d1, y2, h_ad, h_bd, h_rd in [*columns, (0j,) * 5]:
-                        yield label, DecodeInput(
-                            y_d1=y_d1, y_d2=y2, h_ad=h_ad, h_bd=h_bd, h_rd=h_rd,
-                            constants=k, signal_set=s, relay_map=f,
-                        )
+                        yield label, (y_d1, y2, h_ad, h_bd, h_rd, k, s.points, f.cells, s.points)
 
 
 def test_oracle_decisions_digest():
     h = hashlib.sha256()
-    for label, inp in oracle_inputs():
-        index_a, index_b, relay_correct = novel_decode_exhaustive(inp)
+    for label, frame in oracle_inputs():
+        index_a, index_b, relay_correct = novel_decode_exhaustive(*frame)
         branch = "RELAY_CORRECT" if relay_correct else "RELAY_ERROR"
         h.update(f"{label} {index_a} {index_b} {branch}\n".encode("ascii"))
     assert h.hexdigest() == ORACLE_DIGEST

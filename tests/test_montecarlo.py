@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from marc_pnc import montecarlo
-from marc_pnc.channel import PROFILE_PRESETS, phase1, phase2
+from marc_pnc.channel import PROFILE_PRESETS, ChannelRealization, FadingProfile, phase1, phase2
 from marc_pnc.destination import (
-    DecodeInput,
     HrOrthogonalityError,
     fast_decode,
     joint_min_distance,
@@ -98,6 +97,15 @@ class TestSweepSpec:
                 small_spec(snr_points_db=(0.0, 4000.0), decoder=decoder)
         small_spec(snr_points_db=(0.0, 3000.0))
 
+    def test_an_snr_whose_squared_metrics_overflow_is_rejected(self):
+        # es * largest variance must stay below 1e-4 of the largest float
+        for decoder in montecarlo.DECODERS:
+            with pytest.raises(ValueError, match="3070.0 dB is too large"):
+                small_spec(snr_points_db=(0.0, 3070.0), decoder=decoder)
+        with pytest.raises(ValueError, match="2950.0 dB is too large"):
+            small_spec(snr_points_db=(2950.0,), profile=FadingProfile.from_db(rd=100.0))
+        small_spec(snr_points_db=(2950.0,), profile=FadingProfile.from_db(rd=90.0))
+
     @pytest.mark.parametrize("profile", [{"var_ar": 1.0}, "equal"])
     def test_profile_must_be_a_fading_profile(self, profile):
         with pytest.raises(ValueError, match="profile must be a FadingProfile"):
@@ -122,9 +130,10 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
     arithmetic (``montecarlo.transmit``), then hold it and each batch kernel
     to an independent reference: scalar ``phase1``/``phase2`` and the Latin
     cells for ``transmit`` (under both the Latin-square and the cfnc relay
-    of ``SweepSpec.relay``), scalar relay ML for the relay, the scalar exhaustive rule for
-    both aware decoders, a metric_m1 scan for minimum distance and the grid
-    oracle of test_cfnc for the baseline."""
+    of ``SweepSpec.relay``), scalar relay ML for the relay, the scalar
+    exhaustive rule for both aware decoders on both relays, a metric_m1 scan
+    for minimum distance and the grid oracle of test_cfnc for the
+    baseline."""
     s = spec.signal_set()
     f = spec.relay_map()
     pts = np.asarray(s.points)
@@ -139,6 +148,10 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
     frames = (y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
     fast = np.stack(fast_decode(*frames, *latin), axis=1).tolist()
     exhaustive = np.stack(novel_decode_exhaustive_batch(*frames, *latin), axis=1).tolist()
+    combined_frames = (y_d1, combined.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, *cfnc)
+    fast_cfnc = np.stack(fast_decode(*combined_frames), axis=1).tolist()
+    exhaustive_cfnc = np.stack(novel_decode_exhaustive_batch(*combined_frames), axis=1).tolist()
+    cfnc_code, cfnc_points = (t.tolist() for t in cfnc)
     naive = np.stack(joint_min_distance(*frames, *latin)[:2], axis=1).tolist()
     combining = np.stack(joint_min_distance(*frames, *cfnc)[:2], axis=1).tolist()
 
@@ -146,10 +159,12 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
         # transmit associates the products differently, so not bit-exact
         return z == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    for i in range(n):
-        ia, ib, h, z_r, z_d1, z_d2 = d.frame(i)
+    fades = zip(d.h_ar.tolist(), d.h_br.tolist(), d.h_ad.tolist(), d.h_bd.tolist(), d.h_rd.tolist())
+    for i, h in enumerate(ChannelRealization(*fade) for fade in fades):
+        ia, ib = int(d.ia[i]), int(d.ib[i])
+        z_r, z_d1, z_d2 = complex(d.z_r[i]), complex(d.z_d1[i]), complex(d.z_d2[i])
         xa, xb = s.points[ia], s.points[ib]
-        pair = relay_ml_decode(complex(y_r[i]), h, k, s)
+        pair = relay_ml_decode(complex(y_r[i]), h.h_ar, h.h_br, k, s.points)
         assert pair == (int(ra[i]), int(rb[i]))
         want_r, want_d1 = phase1(k, h, xa, xb, z_r, z_d1)
         assert close(y_r[i], want_r) and close(y_d1[i], want_d1)
@@ -161,12 +176,16 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
         x_r = cfg.power_norm * (s.points[pair[0]] + cfg.theta * s.points[pair[1]])
         assert close(combined.y_d2[i], phase2(k, h, xa, xb, x_r, z_d2))
         assert combined.nc_wrong[i] == (pair != (ia, ib))
-        inp = DecodeInput(y_d1=complex(y_d1[i]), y_d2=complex(y_d2[i]), h_ad=h.h_ad, h_bd=h.h_bd,
-                          h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f)
-        want = list(novel_decode_exhaustive(inp))
+        frame = (complex(y_d1[i]), complex(y_d2[i]), h.h_ad, h.h_bd, h.h_rd, k, s.points, f.cells, s.points)
+        want = list(novel_decode_exhaustive(*frame))
         assert fast[i] == want
         assert exhaustive[i] == want
-        scan = min((metric_m1(inp, s.points[ia], s.points[ib]), ia, ib) for ia in range(s.m) for ib in range(s.m))
+        y_cfnc = complex(combined.y_d2[i])
+        combined_frame = (complex(y_d1[i]), y_cfnc, h.h_ad, h.h_bd, h.h_rd, k, s.points, cfnc_code, cfnc_points)
+        want = list(novel_decode_exhaustive(*combined_frame))
+        assert fast_cfnc[i] == want
+        assert exhaustive_cfnc[i] == want
+        scan = min((metric_m1(*frame, ia, ib), ia, ib) for ia in range(s.m) for ib in range(s.m))
         assert naive[i] == [scan[1], scan[2]]
         assert tuple(combining[i]) == destination_oracle(complex(y_d1[i]), complex(y_d2[i]), h, k, s, cfg)
 

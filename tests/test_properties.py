@@ -14,11 +14,12 @@ For the aware decoders, each example decodes a handful of frames whose relay
 point is a uniform draw from the relay's constellation of K points, so it is
 the one the relay should send about 1/K of the time and a relay error
 otherwise, and both branches are exercised at every SNR.  The relay is a
-Latin-square map (K = M), or the cfnc relay with M up to 8 (K = M^2), on
-which the batch exhaustive rule is the reference: the scalar one reads a
-relay map.  The relay, minimum-distance and cfnc kernels need no pairing;
-they see frames relayed by the engine's own phase arithmetic, and cfnc uses
-the combining coefficient exp(i pi / M), which is valid for every M here.
+Latin-square map (K = M), or the cfnc relay with M up to 8 (K = M^2); on
+either, the scalar exhaustive rule, which takes the relay as the batch
+kernels do, is the reference for both.  The relay, minimum-distance and
+cfnc kernels need no pairing; they see frames relayed by the engine's own
+phase arithmetic, and cfnc uses the combining coefficient exp(i pi / M),
+which is valid for every M here.
 """
 
 import cmath
@@ -29,9 +30,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marc_pnc.channel import PROFILE_PRESETS
+from marc_pnc.channel import PROFILE_PRESETS, ChannelRealization
 from marc_pnc.destination import (
-    DecodeInput,
     fast_decode,
     joint_min_distance,
     metric_m1,
@@ -104,15 +104,10 @@ def test_fast_equals_exhaustive(abcd, relay, snr_db, profile, seed):
     frames = (y1, y2, d.h_ad, d.h_bd, d.h_rd, k, pts, code, constellation)
     fast = np.stack(fast_decode(*frames), axis=1).tolist()
     batch = np.stack(novel_decode_exhaustive_batch(*frames), axis=1).tolist()
-    for i in range(FRAMES):
-        if kind == "cfnc":
-            want = batch[i]
-        else:
-            inp = DecodeInput(
-                y_d1=complex(y1[i]), y_d2=complex(y2[i]), h_ad=complex(d.h_ad[i]), h_bd=complex(d.h_bd[i]),
-                h_rd=complex(d.h_rd[i]), constants=k, signal_set=s, relay_map=spec.relay_map(),
-            )
-            want = list(novel_decode_exhaustive(inp))
+    relay_args = (s.points, code.tolist(), constellation.tolist())
+    columns = (y1.tolist(), y2.tolist(), d.h_ad.tolist(), d.h_bd.tolist(), d.h_rd.tolist())
+    for i, frame in enumerate(zip(*columns)):
+        want = list(novel_decode_exhaustive(*frame, k, *relay_args))
         assert fast[i] == want, f"frame {i}"
         assert batch[i] == want, f"frame {i}"
         if k.es == 1.0:
@@ -147,13 +142,12 @@ def test_relay_and_joint_decoders_equal_scalar_references(abcd, m, map_kind, snr
     frames = (rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
     naive = np.stack(joint_min_distance(*frames, cells, pts)[:2], axis=1).tolist()
     combining = np.stack(joint_min_distance(*frames, *cfnc.relay())[:2], axis=1).tolist()
-    for i in range(FRAMES):
-        _, _, h, _, _, _ = d.frame(i)
-        assert relay_ml_decode(complex(rx.y_r[i]), h, k, s) == (int(rx.relay_a[i]), int(rx.relay_b[i])), f"frame {i}"
+    fades = zip(d.h_ar.tolist(), d.h_br.tolist(), d.h_ad.tolist(), d.h_bd.tolist(), d.h_rd.tolist())
+    for i, h in enumerate(ChannelRealization(*fade) for fade in fades):
+        want_pair = (int(rx.relay_a[i]), int(rx.relay_b[i]))
+        assert relay_ml_decode(complex(rx.y_r[i]), h.h_ar, h.h_br, k, s.points) == want_pair, f"frame {i}"
         y1, y2 = complex(rx.y_d1[i]), complex(rx.y_d2[i])
-        inp = DecodeInput(
-            y_d1=y1, y_d2=y2, h_ad=h.h_ad, h_bd=h.h_bd, h_rd=h.h_rd, constants=k, signal_set=s, relay_map=f,
-        )
-        scan = min((metric_m1(inp, s.points[ia], s.points[ib]), ia, ib) for ia in range(m) for ib in range(m))
+        frame = (y1, y2, h.h_ad, h.h_bd, h.h_rd, k, s.points, f.cells, s.points)
+        scan = min((metric_m1(*frame, ia, ib), ia, ib) for ia in range(m) for ib in range(m))
         assert naive[i] == [scan[1], scan[2]], f"frame {i}"
         assert tuple(combining[i]) == destination_oracle(y1, y2, h, k, s, cfg), f"frame {i}"

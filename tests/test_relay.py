@@ -36,7 +36,7 @@ class TestRelayMlDecode:
         s = make_psk(4)
         for _ in range(500):
             y_r, h, ia, ib = random_frame(gen, k, s, noisy=False)
-            assert relay_ml_decode(y_r, h, k, s) == (ia, ib)
+            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, s.points) == (ia, ib)
 
     def test_dead_second_link_tie_break(self):
         # with h_br = 0 every candidate for source B is equivalent, so ties
@@ -46,7 +46,7 @@ class TestRelayMlDecode:
         h = ChannelRealization(h_ar=0.8 - 0.3j, h_br=0.0, h_ad=1.0, h_bd=1.0, h_rd=1.0)
         for ia in range(4):
             y_r = h.h_ar * k.a * s.points[ia]
-            assert relay_ml_decode(y_r, h, k, s) == (ia, 0)
+            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, s.points) == (ia, 0)
 
     def test_matches_grid_oracle_on_noisy_frames(self):
         gen = np.random.default_rng(18)
@@ -54,7 +54,7 @@ class TestRelayMlDecode:
         s = make_psk(4)
         for _ in range(1000):
             y_r, h, _, _ = random_frame(gen, k, s)
-            assert relay_ml_decode(y_r, h, k, s) == grid_oracle(y_r, h, k, s)
+            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, s.points) == grid_oracle(y_r, h, k, s)
 
     def test_abs_and_squared_abs_agree(self):
         gen = np.random.default_rng(19)
@@ -69,4 +69,4 @@ class TestRelayMlDecode:
                     d = abs(y_r - h.h_ar * root * k.a * xa - h.h_br * root * k.b * xb)
                     rows.append((d, ia, ib))
             rows.sort()
-            assert relay_ml_decode(y_r, h, k, s) == (rows[0][1], rows[0][2])
+            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, s.points) == (rows[0][1], rows[0][2])

@@ -68,10 +68,3 @@ class TestDifferenceSet:
                 if not any(abs(d - v) < 1e-12 for v in brute):
                     brute.append(d)
         assert len(difference_set(s)) == len(brute)
-
-    def test_index_of(self):
-        s = make_psk(4)
-        for i, p in enumerate(s.points):
-            assert s.index_of(p) == i
-        with pytest.raises(ValueError):
-            s.index_of(0.5 + 0.5j)
