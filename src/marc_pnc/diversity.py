@@ -7,6 +7,7 @@ probability falling as SNR^-2 fits a slope of exactly 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +92,7 @@ def probability_window(
     """Smallest dB window containing every point whose value falls inside
     the open probability interval (with enough events)."""
     lo, hi = prob_range
-    snrs = [
-        p.snr_db
-        for p in curve.points
-        if getattr(p, which) is not None and lo < getattr(p, which) < hi and p.event_count(which) >= min_events
-    ]
+    snrs = [s for s, v in _valid_points(curve, which, (-math.inf, math.inf), min_events) if lo < v < hi]
     if not snrs:
         raise InsufficientDataError(f"no points with {which!r} inside {prob_range} and >= {min_events} events")
     return (min(snrs), max(snrs))

@@ -17,7 +17,8 @@ cache.  Every kernel is per-frame independent, so results do not depend on
 the chunk size.
 
 ``equivalence_battery`` holds the fast decoder against the scalar
-exhaustive reference.
+exhaustive reference on one-point ``fast`` specs, one per (SNR, profile)
+cell, with half of the frames forced to a wrong relay symbol.
 
 The symbol error probability reported as ``sep_joint`` is the joint pair
 error P{decoded pair != transmitted pair}; per-user rates are recorded
@@ -58,7 +59,7 @@ from .destination import (
 from .netmap import LATIN_MAPS, MAP_KINDS, LatinSquare
 from .numerics import RngStream, complex_gaussian, philox_bits
 from .relay import relay_ml_decode, relay_ml_decode_batch
-from .scheme import EXAMPLE1_ABCD, SchemeConstants, example1_constants
+from .scheme import EXAMPLE1_ABCD, SchemeConstants
 
 # Not called here: kept as module attributes because the benchmark's trace
 # wraps them at this module.
@@ -112,6 +113,7 @@ class SweepSpec:
         if not isinstance(self.profile, FadingProfile):
             raise ValueError(f"profile must be a FadingProfile, got {self.profile!r}")
         pts = tuple(float(p) for p in self.snr_points_db)
+        object.__setattr__(self, "snr_points_db", pts)  # a list or generator becomes the checked tuple
         if not pts:
             raise ValueError("snr_points_db must not be empty")
         bad = [p for p in pts if not math.isfinite(p)]
@@ -124,7 +126,7 @@ class SweepSpec:
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
         if self.decoder in ("novel-exhaustive", "fast") and pts[0] < 0.0:
-            raise ValueError("relay-error-aware decoders require all SNR points >= 0 dB")
+            raise ValueError(f"relay-error-aware decoders require all SNR points >= 0 dB, got {pts[0]}")
         # Constant validity (finite values, energy split, an es that fits a
         # float) is checked by building the constants of every point.
         for p in pts:
@@ -411,81 +413,76 @@ class EquivalenceReport:
     first_mismatch: str | None = None
 
 
+#: Share of each battery cell's frames whose relay forwards a wrong symbol.
+FORCED_ERROR_FRACTION = 0.5
+
+
 def equivalence_battery(
     snr_points_db=(0.0, 10.0, 20.0, 30.0),
     frames_per_cell: int = 8400,
     seed: int = 2024,
-    forced_error_fraction: float = 0.5,
 ) -> EquivalenceReport:
     """Compare fast_decode against novel_decode_exhaustive frame by frame,
-    on 4-PSK with the modulo-4 relay map, for every SNR point and every
-    profile of ``PROFILE_PRESETS``.
+    for every SNR point and every profile of ``PROFILE_PRESETS``.
 
-    Each (SNR, profile) cell gets its own stream; its frames are drawn and
-    relayed one at a time, then the batch fast decoder decodes the whole
-    cell in one call and the scalar exhaustive reference checks each
-    frame.  A ``forced_error_fraction`` of the frames (half by default)
-    replace the relay's true decision with a uniformly random wrong
-    network-coded symbol, so the relay-error branch is exercised at every
-    SNR, not only where relay errors occur naturally.
+    Each (SNR, profile) cell is the one-point ``fast`` spec
+    ``SweepSpec((snr_db,), frames_per_cell, profile, seed=seed)`` (4-PSK,
+    modulo map, the default constants), which gives its constants and
+    relay.  All cells are built before anything is drawn, so a point any
+    spec rejects raises ``ValueError`` first; points need not ascend.
 
-    Arguments that would compare no frames, or give frames the fast decoder
-    does not admit (SNR below 0 dB, i.e. es < 1), raise ``ValueError``
-    before anything is drawn.
+    Each cell draws and relays its frames one at a time on its own stream,
+    with a ``FORCED_ERROR_FRACTION`` of them forwarding a uniformly random
+    wrong network-coded symbol, so the relay-error branch is exercised at
+    every SNR.  One batch fast_decode call decodes the cell, and the
+    scalar exhaustive reference checks each frame.
     """
     snr_points_db = tuple(snr_points_db)
     if frames_per_cell < 1:
         raise ValueError(f"frames_per_cell must be >= 1, got {frames_per_cell}")
     if not snr_points_db:
         raise ValueError("snr_points_db must not be empty")
-    bad = [db for db in snr_points_db if not (math.isfinite(db) and db >= 0.0)]
-    if bad:
-        raise ValueError(f"SNR points must be finite and >= 0 dB (the fast decoder needs es >= 1), got {bad[0]}")
-    if not 0.0 <= forced_error_fraction <= 1.0:
-        raise ValueError(f"forced_error_fraction must be in [0, 1], got {forced_error_fraction}")
-    constants = [example1_constants(db_to_linear(db)) for db in snr_points_db]
-    m = 4
-    s = make_psk(m)
-    f = LATIN_MAPS["modulo"](m)
-    pts = np.asarray(s.points, dtype=np.complex128)
-    cells = np.asarray(f.cells, dtype=np.int64)
-    frames = 0
-    mismatches = 0
+    cells = [
+        (pname, SweepSpec((snr_db,), frames_per_cell, profile, seed=seed))
+        for snr_db in snr_points_db
+        for pname, profile in PROFILE_PRESETS.items()
+    ]
+    frames = mismatches = 0
     first: str | None = None
 
-    cell = 0
-    for snr_db, k in zip(snr_points_db, constants):
-        for pname, profile in PROFILE_PRESETS.items():
-            rng = RngStream(seed, cell)
-            cell += 1
-            received = []  # per frame, what the destination sees: (y_d1, y_d2, h_ad, h_bd, h_rd)
-            for _ in range(frames_per_cell):
-                ia = rng.index(m)
-                ib = rng.index(m)
-                h = sample_channel(rng, profile)
-                z_r = rng.gaussian(1.0)
-                z_d1 = rng.gaussian(1.0)
-                z_d2 = rng.gaussian(1.0)
-                force = rng.uniform() < forced_error_fraction
-                xa, xb = s.points[ia], s.points[ib]
-                y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
-                if force:
-                    true_nc = f.cells[ia][ib]
-                    wrong = rng.index(m - 1)
-                    nc_idx = wrong if wrong < true_nc else wrong + 1
-                    x_r = s.points[nc_idx]
-                else:
-                    ra, rb = relay_ml_decode(y_r, h.h_ar, h.h_br, k, s.points)
-                    x_r = s.points[f.cells[ra][rb]]
-                y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
-                received.append((y_d1, y_d2, h.h_ad, h.h_bd, h.h_rd))
-            columns = (np.array(column, dtype=np.complex128) for column in zip(*received))
-            fa, fb, fcorrect = fast_decode(*columns, k, pts, cells, pts)
-            for frame, got in zip(received, zip(fa.tolist(), fb.tolist(), fcorrect.tolist())):
-                ref = novel_decode_exhaustive(*frame, k, s.points, f.cells, s.points)
-                frames += 1
-                if got != ref:
-                    mismatches += 1
-                    if first is None:
-                        first = f"snr={snr_db} profile={pname} fast={got} ref={ref}"
+    for cell, (pname, spec) in enumerate(cells):
+        (snr_db,) = spec.snr_points_db
+        k = spec.constants_at(snr_db)
+        code, pts = spec.relay()  # a Latin-square relay sends source points
+        points, table = pts.tolist(), code.tolist()
+        rng = RngStream(spec.seed, cell)
+        received = []  # per frame, what the destination sees: (y_d1, y_d2, h_ad, h_bd, h_rd)
+        for _ in range(frames_per_cell):
+            ia = rng.index(spec.m)
+            ib = rng.index(spec.m)
+            h = sample_channel(rng, spec.profile)
+            z_r = rng.gaussian(1.0)
+            z_d1 = rng.gaussian(1.0)
+            z_d2 = rng.gaussian(1.0)
+            force = rng.uniform() < FORCED_ERROR_FRACTION
+            xa, xb = points[ia], points[ib]
+            y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
+            if force:
+                true_nc = table[ia][ib]
+                wrong = rng.index(spec.m - 1)
+                x_r = points[wrong if wrong < true_nc else wrong + 1]
+            else:
+                ra, rb = relay_ml_decode(y_r, h.h_ar, h.h_br, k, points)
+                x_r = points[table[ra][rb]]
+            y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
+            received.append((y_d1, y_d2, h.h_ad, h.h_bd, h.h_rd))
+        columns = (np.array(column, dtype=np.complex128) for column in zip(*received))
+        fa, fb, fcorrect = fast_decode(*columns, k, pts, code, pts)
+        for frame, got in zip(received, zip(fa.tolist(), fb.tolist(), fcorrect.tolist())):
+            ref = novel_decode_exhaustive(*frame, k, points, table, points)
+            frames += 1
+            if got != ref:
+                mismatches += 1
+                if first is None:
+                    first = f"snr={snr_db} profile={pname} fast={got} ref={ref}"
     return EquivalenceReport(frames=frames, mismatches=mismatches, first_mismatch=first)

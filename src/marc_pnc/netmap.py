@@ -31,10 +31,6 @@ class LatinSquare:
         if not check_exclusive_law(self.cells):
             raise ValueError("table is not a Latin square")
 
-    @property
-    def order(self) -> int:
-        return len(self.cells)
-
     def to_text(self) -> str:
         """Plain-text grid, one row per line, space-separated indices."""
         return "\n".join(" ".join(str(v) for v in row) for row in self.cells)

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SignalSet:
-    """M-point constellation with M = 2**bits_per_symbol, all points |x| = 1."""
+    """M-point constellation with M a power of two >= 2, all points |x| = 1."""
 
     points: tuple[complex, ...]
-    bits_per_symbol: int
 
     def __post_init__(self) -> None:
         m = len(self.points)
-        if m != 2**self.bits_per_symbol or self.bits_per_symbol < 1:
-            raise ValueError(f"{m} points inconsistent with {self.bits_per_symbol} bits/symbol")
+        if m < 2 or m & (m - 1):
+            raise ValueError(f"the number of points must be a power of two >= 2, got {m}")
         for p in self.points:
             if abs(abs(p) - 1.0) > 1e-12:
                 raise ValueError(f"point {p!r} is not unit energy")
@@ -39,7 +38,7 @@ def make_psk(m: int) -> SignalSet:
     if m < 2 or m & (m - 1):
         raise ValueError(f"M must be a power of two >= 2, got {m}")
     points = tuple(cmath.exp(1j * (2.0 * math.pi * k / m)) for k in range(m))
-    return SignalSet(points=points, bits_per_symbol=m.bit_length() - 1)
+    return SignalSet(points=points)
 
 
 def difference_set(s: SignalSet, tol: float = 1e-12) -> tuple[complex, ...]:

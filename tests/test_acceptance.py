@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from marc_pnc.channel import PROFILE_PRESETS, sample_channel
-from marc_pnc.cli import SCENARIOS, snr_at_sep
+from marc_pnc.cli import REFERENCE_GAIN_DB, snr_at_sep
 from marc_pnc.destination import fast_decode, novel_decode_exhaustive_batch
 from marc_pnc.diversity import estimate_diversity, probability_window
 from marc_pnc.montecarlo import SweepSpec, equivalence_battery, run_sweep
@@ -197,7 +197,7 @@ class TestCriterion7BaselineComparison:
             s_pnc = snr_at_sep(comparison_curves[(preset, "fast")], 1e-2)
             s_cfnc = snr_at_sep(comparison_curves[(preset, "cfnc")], 1e-2)
             gaps[preset] = None if s_pnc is None or s_cfnc is None else s_cfnc - s_pnc
-            ref = SCENARIOS[preset]["reference_gain_db"]
+            ref = REFERENCE_GAIN_DB[preset]
             details.append(f"{preset}: measured {gaps[preset]:.2f} dB (reference {ref})")
         ok &= compared >= 9
         # the strong relay-destination link must show the widest gap

@@ -72,3 +72,7 @@ class TestProbabilityWindow:
         curve = synthetic_curve(2.0)
         with pytest.raises(InsufficientDataError):
             probability_window(curve, "sep_joint", (1e-12, 1e-10))
+
+    def test_unknown_field(self):
+        with pytest.raises(ValueError, match="unknown curve field"):
+            probability_window(synthetic_curve(2.0), "bogus", (1e-7, 1e-3))

@@ -51,12 +51,21 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="finite"):
             small_spec(snr_points_db=(0.0, 10.0, bad), decoder="min-euclid")
 
+    @pytest.mark.parametrize(
+        "grid", [lambda: [10.0, 20.0], lambda: (p for p in (10.0, 20.0))], ids=["list", "generator"]
+    )
+    def test_any_iterable_grid_is_kept_as_the_checked_tuple(self, grid):
+        spec = small_spec(snr_points_db=grid(), trials_per_point=64)
+        assert spec.snr_points_db == (10.0, 20.0)
+        hash(spec)  # a frozen spec holding a list could not be hashed
+        assert [p.snr_db for p in run_sweep(spec).points] == [10.0, 20.0]
+
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
             small_spec(snr_points_db=(10.0, 5.0))
 
     def test_aware_decoders_need_nonnegative_snr(self):
-        with pytest.raises(ValueError, match=">= 0 dB"):
+        with pytest.raises(ValueError, match=">= 0 dB, got -5.0"):
             small_spec(snr_points_db=(-5.0, 10.0))
         # the naive decoder has no such floor
         small_spec(snr_points_db=(-5.0, 10.0), decoder="min-euclid")
@@ -258,8 +267,8 @@ class TestEquivalenceBattery:
             ({"snr_points_db": (math.inf,)}, "inf"),
             ({"snr_points_db": (10.0, -0.5)}, "-0.5"),
             ({"snr_points_db": (math.nan,)}, "nan"),
-            ({"forced_error_fraction": -0.1}, "forced_error_fraction"),
-            ({"forced_error_fraction": 1.5}, "forced_error_fraction"),
+            ({"snr_points_db": (3070.0,), "frames_per_cell": 50}, "3070.0 dB"),
+            ({"seed": 1.5}, "seed"),
             ({"snr_points_db": (4000.0,)}, "4000.0 dB"),
         ],
     )
@@ -270,13 +279,6 @@ class TestEquivalenceBattery:
         monkeypatch.setattr(montecarlo, "RngStream", no_draws)
         with pytest.raises(ValueError, match=message):
             montecarlo.equivalence_battery(**kwargs)
-
-    @pytest.mark.parametrize("fraction", [0.0, 1.0])
-    def test_forced_error_fraction_endpoints_are_accepted(self, fraction):
-        report = montecarlo.equivalence_battery(
-            snr_points_db=(0.0,), frames_per_cell=30, forced_error_fraction=fraction
-        )
-        assert report.frames == 90 and report.mismatches == 0
 
     def test_a_disagreement_is_counted(self, monkeypatch):
         def flip_frame_0(*args):

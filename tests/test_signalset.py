@@ -31,9 +31,14 @@ class TestMakePsk:
 
     def test_invalid_signal_set_rejected(self):
         with pytest.raises(ValueError, match="unit energy"):
-            SignalSet(points=(2.0 + 0j, -2.0 + 0j), bits_per_symbol=1)
+            SignalSet(points=(2.0 + 0j, -2.0 + 0j))
         with pytest.raises(ValueError, match="distinct"):
-            SignalSet(points=(1.0 + 0j, 1.0 + 0j), bits_per_symbol=1)
+            SignalSet(points=(1.0 + 0j, 1.0 + 0j))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_point_count_must_be_a_power_of_two(self, n):
+        with pytest.raises(ValueError, match=f"power of two >= 2, got {n}"):
+            SignalSet(points=make_psk(8).points[:n])
 
 
 class TestDifferenceSet:

@@ -1,9 +1,11 @@
 """The traced benchmark wraps ``marc_pnc`` module attributes by name
 (``benchmarks/workloads.py:TRACE_TARGETS``) and fails when one is missing.
 These tests read that table through the ``bench`` fixture (conftest.py)
-and run its tracer on a small sweep, without running the benchmark, so
-deleting or renaming a wrapped attribute, or calling ``simulate_batch`` in
-a way its span attributes cannot read, fails here too.
+and run its tracer on a small sweep and a small battery, without running
+the benchmark, so deleting or renaming a wrapped attribute, calling
+``simulate_batch`` in a way its span attributes cannot read, or a battery
+that stops calling a span the ``equiv-scalar`` workload requires, fails
+here too.
 """
 
 import importlib
@@ -43,3 +45,19 @@ def test_traced_sweep_gives_every_batch_its_attributes(bench, threads):
     assert sorted((s.attrs["point"], s.attrs["batch"], s.attrs["n"]) for s in batches) == [
         (0, 0, montecarlo.BATCH_SIZE), (0, 1, 64),
     ]
+
+
+def test_traced_battery_records_every_span_its_workload_requires(bench):
+    workloads, spans = bench
+    tracer = spans.Tracer()
+    with tracer:
+        workloads.install_trace(tracer)
+        montecarlo.equivalence_battery(snr_points_db=(10.0,), frames_per_cell=20)
+    missing = set(workloads.REQUIRED_SPANS["equiv-scalar"]) - {s.name for s in tracer.spans}
+    assert not missing
+
+
+def test_battery_plan_counts_the_frames_of_the_default_grid(bench):
+    workloads, _ = bench
+    report = montecarlo.equivalence_battery(frames_per_cell=workloads.EQUIV_FRAMES_PER_CELL)
+    assert workloads.build_plan("equiv-scalar", 0).battery_frames == report.frames
