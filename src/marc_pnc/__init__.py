@@ -36,7 +36,7 @@ from .montecarlo import (
     run_sweep,
 )
 from .netmap import LatinSquare, check_exclusive_law, modulo_latin, xor_latin
-from .numerics import RngStream, qr_2x3
+from .numerics import philox_stream, qr_2x3
 from .relay import relay_ml_decode
 from .scheme import (
     SchemeConstants,

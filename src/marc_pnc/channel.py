@@ -1,11 +1,12 @@
 """Quasi-static Rayleigh fading for the two-source relay topology.
 
 One channel realization (five independent complex-Gaussian fade
-coefficients) holds for the whole two-phase frame.  Noise samples are
-passed in explicitly rather than drawn here, so decoder tests can replay
-exact frames; all randomness is owned by the Monte Carlo engine.  Additive
-noise variance is fixed at 1 and SNR is varied through the transmit energy
-alone.
+coefficients) holds for the whole two-phase frame.  ``sample_channel``
+draws a realization from a generator its caller passes (a
+``numerics.philox_stream``), and noise samples are passed in explicitly
+rather than drawn here, so decoder tests can replay exact frames; every
+stream is chosen by the Monte Carlo engine or the test.  Additive noise
+variance is fixed at 1 and SNR is varied through the transmit energy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import RngStream
+import numpy as np
+
+from .numerics import complex_gaussian
 from .scheme import SchemeConstants
 
 
@@ -72,14 +75,15 @@ class ChannelRealization:
     h_rd: complex
 
 
-def sample_channel(rng: RngStream, p: FadingProfile) -> ChannelRealization:
-    """Draw five independent CN(0, var) coefficients, in field order."""
+def sample_channel(gen: np.random.Generator, p: FadingProfile) -> ChannelRealization:
+    """Draw five independent CN(0, var) coefficients from ``gen``, in field
+    order, each one scalar ``complex_gaussian`` draw."""
     return ChannelRealization(
-        h_ar=rng.gaussian(p.var_ar),
-        h_br=rng.gaussian(p.var_br),
-        h_ad=rng.gaussian(p.var_ad),
-        h_bd=rng.gaussian(p.var_bd),
-        h_rd=rng.gaussian(p.var_rd),
+        h_ar=complex_gaussian(gen, p.var_ar),
+        h_br=complex_gaussian(gen, p.var_br),
+        h_ad=complex_gaussian(gen, p.var_ad),
+        h_bd=complex_gaussian(gen, p.var_bd),
+        h_rd=complex_gaussian(gen, p.var_rd),
     )
 
 

@@ -57,7 +57,7 @@ from .destination import (
     role_swap,
 )
 from .netmap import LATIN_MAPS, MAP_KINDS, LatinSquare
-from .numerics import RngStream, complex_gaussian, philox_bits
+from .numerics import complex_gaussian, philox_stream
 from .relay import relay_ml_decode, relay_ml_decode_batch
 from .scheme import EXAMPLE1_ABCD, SchemeConstants
 
@@ -81,6 +81,14 @@ CHUNK_SIZE = 1 << 12
 THREADS_ENV_VAR = "MARC_PNC_THREADS"
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` for a bool or a non-integer."""
+    index = getattr(type(value), "__index__", None)
+    if index is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return index(value)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Everything needed to reproduce a sweep, including the seed."""
@@ -99,11 +107,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         """Reject every spec that would fail inside a worker batch."""
         for name in ("m", "trials_per_point", "seed", "error_target"):
-            value = getattr(self, name)
-            index = getattr(type(value), "__index__", None)
-            if index is None or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, index(value))  # numpy integers become int
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.m < 2 or self.m & (self.m - 1):
             raise ValueError(f"m must be a power of two >= 2, got {self.m}")
         if self.trials_per_point < 1:
@@ -318,7 +322,7 @@ def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index
     frames at a time.  Every stage is per-frame independent, so the
     counters do not depend on the chunk size.
     """
-    gen = np.random.Generator(philox_bits(spec.seed, _stream_id(point_index, batch_index)))
+    gen = philox_stream(spec.seed, _stream_id(point_index, batch_index))
     k = spec.constants_at(snr_db)
     pts = np.asarray(spec.signal_set().points, dtype=np.complex128)
     relay = spec.relay()
@@ -428,16 +432,20 @@ def equivalence_battery(
     Each (SNR, profile) cell is the one-point ``fast`` spec
     ``SweepSpec((snr_db,), frames_per_cell, profile, seed=seed)`` (4-PSK,
     modulo map, the default constants), which gives its constants and
-    relay.  All cells are built before anything is drawn, so a point any
-    spec rejects raises ``ValueError`` first; points need not ascend.
+    relay.  ``frames_per_cell`` is checked first, then all cells are built
+    before anything is drawn, so a bad argument raises ``ValueError`` naming
+    it; points need not ascend.
 
-    Each cell draws and relays its frames one at a time on its own stream,
-    with a ``FORCED_ERROR_FRACTION`` of them forwarding a uniformly random
-    wrong network-coded symbol, so the relay-error branch is exercised at
-    every SNR.  One batch fast_decode call decodes the cell, and the
-    scalar exhaustive reference checks each frame.
+    Cell c draws and relays its frames one at a time from
+    ``philox_stream(seed, c)``: per frame two source indices, five fades,
+    three noise samples and one uniform that makes a
+    ``FORCED_ERROR_FRACTION`` of the frames forward a uniformly random wrong
+    network-coded symbol, so the relay-error branch is exercised at every
+    SNR.  One batch fast_decode call decodes the cell, and the scalar
+    exhaustive reference checks each frame.
     """
     snr_points_db = tuple(snr_points_db)
+    frames_per_cell = _integer("frames_per_cell", frames_per_cell)
     if frames_per_cell < 1:
         raise ValueError(f"frames_per_cell must be >= 1, got {frames_per_cell}")
     if not snr_points_db:
@@ -455,21 +463,21 @@ def equivalence_battery(
         k = spec.constants_at(snr_db)
         code, pts = spec.relay()  # a Latin-square relay sends source points
         points, table = pts.tolist(), code.tolist()
-        rng = RngStream(spec.seed, cell)
+        gen = philox_stream(spec.seed, cell)
         received = []  # per frame, what the destination sees: (y_d1, y_d2, h_ad, h_bd, h_rd)
         for _ in range(frames_per_cell):
-            ia = rng.index(spec.m)
-            ib = rng.index(spec.m)
-            h = sample_channel(rng, spec.profile)
-            z_r = rng.gaussian(1.0)
-            z_d1 = rng.gaussian(1.0)
-            z_d2 = rng.gaussian(1.0)
-            force = rng.uniform() < FORCED_ERROR_FRACTION
+            ia = int(gen.integers(0, spec.m))
+            ib = int(gen.integers(0, spec.m))
+            h = sample_channel(gen, spec.profile)
+            z_r = complex_gaussian(gen, 1.0)
+            z_d1 = complex_gaussian(gen, 1.0)
+            z_d2 = complex_gaussian(gen, 1.0)
+            force = gen.random() < FORCED_ERROR_FRACTION
             xa, xb = points[ia], points[ib]
             y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
             if force:
                 true_nc = table[ia][ib]
-                wrong = rng.index(spec.m - 1)
+                wrong = int(gen.integers(0, spec.m - 1))
                 x_r = points[wrong if wrong < true_nc else wrong + 1]
             else:
                 ra, rb = relay_ml_decode(y_r, h.h_ar, h.h_br, k, points)

@@ -38,15 +38,12 @@ class LatinSquare:
 
 def modulo_latin(m: int) -> LatinSquare:
     """Table with cell (r, c) = (r + c) mod M."""
-    if m < 2:
-        raise ValueError("order must be >= 2")
     return LatinSquare(tuple(tuple((r + c) % m for c in range(m)) for r in range(m)))
 
 
 def xor_latin(m: int) -> LatinSquare:
-    """Table with cell (r, c) = r XOR c; requires M a power of two."""
-    if m < 2 or m & (m - 1):
-        raise ValueError(f"M must be a power of two >= 2, got {m}")
+    """Table with cell (r, c) = r XOR c; requires M a power of two, as any
+    other order puts a value >= M in some cell, which ``LatinSquare`` rejects."""
     return LatinSquare(tuple(tuple(r ^ c for c in range(m)) for r in range(m)))
 
 

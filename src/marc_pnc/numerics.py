@@ -12,16 +12,17 @@ candidate-major (``symbol_terms``) and score them with ``sqdist``.
 breaks ties the same way; ``first_pair_min`` applies it twice to find the
 lexicographically first pair over a sequence of blocks.
 
-Randomness is counter-based: a ``RngStream`` is fully determined by a
-``(seed, stream)`` pair of integers, so concurrent workers can draw from
-disjoint streams and any trial can be replayed in isolation.
+Randomness is counter-based: ``philox_stream(seed, stream)`` is a numpy
+Generator fully determined by the pair of integers, so concurrent workers
+can draw from disjoint streams and any trial can be replayed in isolation.
+``complex_gaussian`` draws from one, a sample or a batch at a time, with the
+same bits either way.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -158,38 +159,8 @@ def complex_gaussian(gen: np.random.Generator, sigma2: float, size: int | None =
     return radius * np.exp(2j * np.pi * u[:, 1])
 
 
-@dataclass
-class RngStream:
-    """Counter-based random stream keyed by (seed, stream).
-
-    Identical keys reproduce identical draw sequences regardless of how the
-    draws are batched, so trials can run on any worker in any order.
-    """
-
-    seed: int
-    stream: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._gen = np.random.Generator(philox_bits(self.seed, self.stream))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
-    def uniform(self) -> float:
-        return float(self._gen.random())
-
-    def index(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return int(self._gen.integers(0, n))
-
-    def gaussian(self, sigma2: float) -> complex:
-        """One CN(0, sigma2) draw: the same bits, and the same stream
-        position after it, as one sample of the array path."""
-        return complex_gaussian(self._gen, sigma2)
-
-
-def philox_bits(seed: int, stream: int) -> np.random.Philox:
-    """Philox bit generator keyed by two 64-bit words."""
-    return np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
+def philox_stream(seed: int, stream: int) -> np.random.Generator:
+    """The generator of stream ``stream`` under ``seed``: Philox keyed by
+    the two integers, each masked to a 64-bit word."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))

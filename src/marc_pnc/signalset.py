@@ -35,8 +35,6 @@ class SignalSet:
 
 def make_psk(m: int) -> SignalSet:
     """M-PSK with points exp(i*2*pi*k/M), k = 0..M-1."""
-    if m < 2 or m & (m - 1):
-        raise ValueError(f"M must be a power of two >= 2, got {m}")
     points = tuple(cmath.exp(1j * (2.0 * math.pi * k / m)) for k in range(m))
     return SignalSet(points=points)
 

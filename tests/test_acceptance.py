@@ -17,7 +17,7 @@ from marc_pnc.destination import fast_decode, novel_decode_exhaustive_batch
 from marc_pnc.diversity import estimate_diversity, probability_window
 from marc_pnc.montecarlo import SweepSpec, equivalence_battery, run_sweep
 from marc_pnc.netmap import modulo_latin
-from marc_pnc.numerics import RngStream, qr_2x3
+from marc_pnc.numerics import complex_gaussian, philox_stream, qr_2x3
 from marc_pnc.scheme import design_checks, example1_constants
 from marc_pnc.signalset import make_psk
 from marc_pnc.sweepio import curve_to_csv
@@ -110,7 +110,7 @@ class TestCriterion2AlgebraicCheckers:
 class TestCriterion3QrStructure:
     def test_structural_zeros_on_random_channels(self, acceptance_report):
         k = example1_constants(1.0)
-        rng = RngStream(20_403, 0)
+        rng = philox_stream(20_403, 0)
         hs = [sample_channel(rng, PROFILE_PRESETS[("equal", "sr-strong", "rd-strong")[i % 3]]) for i in range(10_000)]
         h_ad, h_bd, h_rd = (np.array([getattr(h, name) for h in hs]) for name in ("h_ad", "h_bd", "h_rd"))
         heq = np.stack([
@@ -217,12 +217,12 @@ class TestCriterion8ComplexityScaling:
             s = make_psk(m)
             f = modulo_latin(m)
             k = example1_constants(8.0)
-            rng = RngStream(20_408, m)
+            rng = philox_stream(20_408, m)
             fast_n = exh_n = 0
             frames = 25
             for _ in range(frames):
                 h = sample_channel(rng, EQUAL)
-                frame = (rng.gaussian(2.0), rng.gaussian(2.0), h.h_ad, h.h_bd, h.h_rd, k, s.points, f.cells, s.points)
+                frame = (complex_gaussian(rng, 2.0), complex_gaussian(rng, 2.0), h.h_ad, h.h_bd, h.h_rd, k, s.points, f.cells, s.points)
                 fast_n += scored_metrics(fast_decode, *frame)
                 exh_n += scored_metrics(novel_decode_exhaustive_batch, *frame)
             counts[m] = (fast_n / frames, exh_n / frames)

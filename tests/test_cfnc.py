@@ -13,7 +13,7 @@ from marc_pnc.cfnc import (
 from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS, sample_channel
 from marc_pnc.destination import joint_min_distance
 from marc_pnc.montecarlo import BatchDraws, SweepSpec, draw_batch, transmit
-from marc_pnc.numerics import RngStream, philox_bits
+from marc_pnc.numerics import complex_gaussian, philox_stream
 from marc_pnc.scheme import example1_constants
 from marc_pnc.signalset import make_psk
 
@@ -135,12 +135,12 @@ class TestCfncFrames:
     def test_destination_matches_grid_oracle(self):
         cfg = make_cfnc_config(S4)
         k = example1_constants(6.0)
-        rng = RngStream(300, 0)
+        rng = philox_stream(300, 0)
         frames = []
         for _ in range(1000):
             h = sample_channel(rng, PROFILE_PRESETS["equal"])
-            y_d1 = rng.gaussian(4.0)
-            y_d2 = rng.gaussian(4.0)
+            y_d1 = complex_gaussian(rng, 4.0)
+            y_d2 = complex_gaussian(rng, 4.0)
             frames.append((y_d1, y_d2, h))
         columns = (np.array(c) for c in zip(*((y1, y2, h.h_ad, h.h_bd, h.h_rd) for y1, y2, h in frames)))
         da, db, _ = joint_min_distance(*columns, k, PTS4, *CFNC4.relay())
@@ -149,7 +149,7 @@ class TestCfncFrames:
 
     def test_noisy_frames_mostly_correct_at_high_snr(self):
         k = example1_constants(10**3.0)
-        d = draw_batch(np.random.Generator(philox_bits(301, 0)), PROFILE_PRESETS["equal"], 4, 300)
+        d = draw_batch(philox_stream(301, 0), PROFILE_PRESETS["equal"], 4, 300)
         _, da, db = relay_and_decode(d, k)
         errors = np.count_nonzero((da != d.ia) | (db != d.ib))
         assert errors < 30

@@ -20,7 +20,7 @@ from marc_pnc.destination import (
     phi_metrics,
 )
 from marc_pnc.netmap import modulo_latin, xor_latin
-from marc_pnc.numerics import RngStream, qr_2x3
+from marc_pnc.numerics import complex_gaussian, philox_stream, qr_2x3
 from marc_pnc.relay import relay_ml_decode
 from marc_pnc.scheme import SchemeConstants, example1_constants
 from marc_pnc.signalset import make_psk
@@ -62,21 +62,21 @@ def decode_one(decoder, frame: Frame):
     return int(a[0]), int(b[0]), bool(correct[0])
 
 
-def random_decode_input(rng: RngStream, es: float, k=None, profile=None, force_relay_error=False, s=S4, f=MOD4):
+def random_decode_input(rng: np.random.Generator, es: float, k=None, profile=None, force_relay_error=False, s=S4, f=MOD4):
     """One random frame through the true protocol, returning the decode
     input plus the transmitted indices and the relay decision."""
     k = (example1_constants(es) if k is None else dataclasses.replace(k, es=es))
     profile = profile or PROFILE_PRESETS["equal"]
-    ia = rng.index(s.m)
-    ib = rng.index(s.m)
+    ia = int(rng.integers(0, s.m))
+    ib = int(rng.integers(0, s.m))
     h = sample_channel(rng, profile)
-    z_r = rng.gaussian(1.0)
-    z_d1 = rng.gaussian(1.0)
-    z_d2 = rng.gaussian(1.0)
+    z_r = complex_gaussian(rng, 1.0)
+    z_d1 = complex_gaussian(rng, 1.0)
+    z_d2 = complex_gaussian(rng, 1.0)
     xa, xb = s.points[ia], s.points[ib]
     y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
     if force_relay_error:
-        wrong = rng.index(s.m - 1)
+        wrong = int(rng.integers(0, s.m - 1))
         nc = wrong if wrong < f.cells[ia][ib] else wrong + 1
         x_r = s.points[nc]
         relay_pair = None
@@ -121,7 +121,7 @@ class TestMetrics:
             assert metric_m1(*inp, i, (i + 1) % 4) == pytest.approx(want)
 
     def test_m1_nonnegative(self):
-        rng = RngStream(100, 0)
+        rng = philox_stream(100, 0)
         for _ in range(50):
             inp, _, _ = random_decode_input(rng, es=5.0)
             for ia in range(4):
@@ -157,7 +157,7 @@ class TestMetrics:
         assert metric_m2(*inp, ia, ib) < 1e-24
 
     def test_m2_at_least_phase1_residual(self):
-        rng = RngStream(101, 0)
+        rng = philox_stream(101, 0)
         for _ in range(50):
             inp, _, _ = random_decode_input(rng, es=2.0)
             k = inp.k
@@ -168,7 +168,7 @@ class TestMetrics:
                     assert metric_m2(*inp, ia, ib) >= p1 - 1e-12
 
     def test_m3_is_pointwise_min_of_m1_m2(self):
-        rng = RngStream(102, 0)
+        rng = philox_stream(102, 0)
         for _ in range(100):
             inp, _, _ = random_decode_input(rng, es=3.0)
             for ia in range(4):
@@ -180,14 +180,14 @@ class TestMetrics:
         assert metric_m3(*inp, 0, 0) < 1e-24
 
     def test_m4_reduces_to_residuals_at_unit_energy(self):
-        rng = RngStream(103, 0)
+        rng = philox_stream(103, 0)
         inp, _, _ = random_decode_input(rng, es=1.0)
         xa, xb = S4.points[1], S4.points[3]
         xr = S4.points[MOD4.cells[1][3]]
         assert metric_m4(*inp[:6], xa, xb, xr) == pytest.approx(metric_m1(*inp, 1, 3), rel=1e-12)
 
     def test_m4_relation_to_m1_and_m2(self):
-        rng = RngStream(104, 0)
+        rng = philox_stream(104, 0)
         for _ in range(30):
             inp, _, _ = random_decode_input(rng, es=6.0)
             ln_es = math.log(inp.k.es)
@@ -237,7 +237,7 @@ class TestMinEuclideanDecode:
                 assert decode_one(joint_min_distance, inp) == (ia, ib, True)
 
     def test_matches_independent_scan(self):
-        rng = RngStream(106, 0)
+        rng = philox_stream(106, 0)
         for _ in range(1000):
             inp, _, _ = random_decode_input(rng, es=4.0)
             rows = []
@@ -248,7 +248,7 @@ class TestMinEuclideanDecode:
             assert decode_one(joint_min_distance, inp)[:2] == rows[0][1:]
 
     def test_works_below_unit_energy(self):
-        rng = RngStream(107, 0)
+        rng = philox_stream(107, 0)
         k = example1_constants(0.25)
         inp, _, _ = random_decode_input(rng, es=0.25, k=k)
         decode_one(joint_min_distance, inp)  # no exception
@@ -308,7 +308,7 @@ class TestNovelDecodeExhaustive:
         assert decode_one(joint_min_distance, inp)[:2] == (1, 0)
 
     def test_matches_metric_level_oracle(self):
-        rng = RngStream(108, 0)
+        rng = philox_stream(108, 0)
         for i in range(400):
             inp, _, _ = random_decode_input(rng, es=float(np.exp(i % 4)), force_relay_error=(i % 2 == 0))
             assert pair_scan_oracle(inp) == novel_decode_exhaustive(*inp)
@@ -317,7 +317,7 @@ class TestNovelDecodeExhaustive:
             assert pair_scan_oracle(cfnc) == novel_decode_exhaustive(*cfnc)
 
     def test_requires_unit_snr(self):
-        rng = RngStream(109, 0)
+        rng = philox_stream(109, 0)
         inp, _, _ = random_decode_input(rng, es=0.5, k=example1_constants(0.5))
         with pytest.raises(ValueError, match="es >= 1"):
             novel_decode_exhaustive(*inp)
@@ -333,7 +333,7 @@ class TestNovelDecodeExhaustive:
         for m, frames in ((2, 200), (4, 600), (8, 120), (16, 24)):
             s = make_psk(m)
             for j, f in enumerate((modulo_latin(m), xor_latin(m))):
-                rng = RngStream(119, 2 * m + j)
+                rng = philox_stream(119, 2 * m + j)
                 for i in range(frames):
                     es = (1.0, math.e, 20.0, 400.0)[i % 4]
                     inp, _, _ = random_decode_input(rng, es=es, force_relay_error=(i % 2 == 0), s=s, f=f)
@@ -341,7 +341,7 @@ class TestNovelDecodeExhaustive:
 
     def test_rewrite_identity_m2_vs_m3(self):
         # min(m1, ln + m2) == min(m1, ln + m3) pointwise once es >= 1
-        rng = RngStream(110, 0)
+        rng = philox_stream(110, 0)
         for es in (1.0, 2.0, 31.6, 1000.0):
             for _ in range(50):
                 inp, _, _ = random_decode_input(rng, es=es)
@@ -355,7 +355,7 @@ class TestNovelDecodeExhaustive:
 
 class TestFastDecode:
     def test_equivalence_random_frames(self):
-        rng = RngStream(111, 0)
+        rng = philox_stream(111, 0)
         for i in range(3000):
             es = (1.0, 10.0, 100.0, 1000.0)[i % 4]
             inp, _, _ = random_decode_input(rng, es=es, force_relay_error=(i % 3 == 0))
@@ -364,7 +364,7 @@ class TestFastDecode:
     def test_equivalence_with_swapped_roles(self):
         # only (W_B, W_R) orthogonal: d = 0 forces the role-swapped path
         k = SchemeConstants(a=INV, b=1.0, c=INV, d=0.0, es=50.0)
-        rng = RngStream(112, 0)
+        rng = philox_stream(112, 0)
         for _ in range(2000):
             inp, _, _ = random_decode_input(rng, es=50.0, k=k)
             assert decode_one(fast_decode, inp) == novel_decode_exhaustive(*inp)
@@ -382,7 +382,7 @@ class TestFastDecode:
             decode_one(fast_decode, low)
 
     def test_r13_vanishes_on_random_frames(self):
-        rng = RngStream(113, 0)
+        rng = philox_stream(113, 0)
         for _ in range(500):
             inp, _, _ = random_decode_input(rng, es=25.0)
             r, _ = frame_rotation(inp)
@@ -397,7 +397,7 @@ def relay_phis(inp: Frame, r, yt, ia, ib, xr):
 
 class TestPhiMetrics:
     def test_phi1_plus_phi2_matches_m1(self):
-        rng = RngStream(114, 0)
+        rng = philox_stream(114, 0)
         for _ in range(1000):
             inp, _, _ = random_decode_input(rng, es=12.0)
             r, yt = frame_rotation(inp)
@@ -407,7 +407,7 @@ class TestPhiMetrics:
                     assert p1 + p2 == pytest.approx(metric_m1(*inp, ia, ib), abs=1e-8 * max(1.0, inp.k.es))
 
     def test_phi3_minimum_bounded_by_network_coded_choice(self):
-        rng = RngStream(115, 0)
+        rng = philox_stream(115, 0)
         for _ in range(200):
             inp, _, _ = random_decode_input(rng, es=4.0)
             r, yt = frame_rotation(inp)
@@ -426,7 +426,7 @@ class TestPhiMetrics:
         assert phis == (0.0, 0.0, 0.0)
 
     def test_unitary_invariance_of_full_residual(self):
-        rng = RngStream(116, 0)
+        rng = philox_stream(116, 0)
         for _ in range(300):
             inp, _, _ = random_decode_input(rng, es=9.0)
             r, yt = frame_rotation(inp)
@@ -449,7 +449,7 @@ class TestPhiMetrics:
 
     def test_decomposition_at_fixed_xb(self):
         # min over (x_A, x_R) of m3 splits into independent minimisations
-        rng = RngStream(117, 0)
+        rng = philox_stream(117, 0)
         for _ in range(200):
             inp, _, _ = random_decode_input(rng, es=16.0)
             r, yt = frame_rotation(inp)
@@ -466,9 +466,9 @@ class TestEvalCounts:
         s = make_psk(m)
         f = modulo_latin(m)
         k = example1_constants(10.0)
-        rng = RngStream(118, m)
+        rng = philox_stream(118, m)
         h = sample_channel(rng, PROFILE_PRESETS["equal"])
-        inp = make_input(rng.gaussian(1.0), rng.gaussian(1.0), h, k, s, f)
+        inp = make_input(complex_gaussian(rng, 1.0), complex_gaussian(rng, 1.0), h, k, s, f)
         # per candidate x_B: phi1 and phi3 over every x_A / relay symbol
         assert scored_metrics(fast_decode, *inp) == 2 * m * m
         # per x_A: p1 over every x_B, p2 over every (x_B, relay symbol)

@@ -33,7 +33,7 @@ from marc_pnc.channel import PROFILE_PRESETS
 from marc_pnc.destination import novel_decode_exhaustive
 from marc_pnc.montecarlo import DECODERS, MAP_KINDS, SweepSpec, draw_batch, run_sweep, transmit
 from marc_pnc.netmap import modulo_latin, xor_latin
-from marc_pnc.numerics import philox_bits
+from marc_pnc.numerics import philox_stream
 from marc_pnc.scheme import EXAMPLE1_ABCD, SchemeConstants
 from marc_pnc.signalset import make_psk
 from marc_pnc.sweepio import curve_to_csv
@@ -161,7 +161,7 @@ def oracle_inputs():
             for es in (1.0, 10.0, 1000.0):
                 for constants in (EXAMPLE1_ABCD, ROLE_SWAP_CONSTANTS):
                     k = SchemeConstants(*constants, es=es)
-                    gen = np.random.Generator(philox_bits(SEED, stream))
+                    gen = philox_stream(SEED, stream)
                     stream += 1
                     d = draw_batch(gen, PROFILE_PRESETS["equal"], m, ORACLE_FRAMES)
                     forced = gen.random(ORACLE_FRAMES) < 0.5

@@ -25,7 +25,7 @@ from marc_pnc.montecarlo import (
     run_sweep,
     transmit,
 )
-from marc_pnc.numerics import philox_bits
+from marc_pnc.numerics import philox_stream
 from marc_pnc.relay import relay_ml_decode
 from marc_pnc.sweepio import curve_to_csv
 from test_cfnc import destination_oracle
@@ -149,7 +149,7 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
     k = spec.constants_at(snr_db)
     cfnc_spec = dataclasses.replace(spec, decoder="cfnc")
     cfg = cfnc_spec.cfnc_config()
-    d = draw_batch(np.random.Generator(philox_bits(123, 9)), EQUAL, spec.m, n)
+    d = draw_batch(philox_stream(123, 9), EQUAL, spec.m, n)
     latin, cfnc = spec.relay(), cfnc_spec.relay()
     y_r, y_d1, y_d2, ra, rb, nc_wrong = transmit(d, k, pts, *latin)
     combined = transmit(d, k, pts, *cfnc)
@@ -270,13 +270,15 @@ class TestEquivalenceBattery:
             ({"snr_points_db": (3070.0,), "frames_per_cell": 50}, "3070.0 dB"),
             ({"seed": 1.5}, "seed"),
             ({"snr_points_db": (4000.0,)}, "4000.0 dB"),
+            ({"frames_per_cell": 2.5}, "frames_per_cell"),
+            ({"frames_per_cell": True}, "frames_per_cell"),
         ],
     )
     def test_bad_arguments_fail_before_drawing(self, kwargs, message, monkeypatch):
         def no_draws(*args):
             raise AssertionError("drew frames")
 
-        monkeypatch.setattr(montecarlo, "RngStream", no_draws)
+        monkeypatch.setattr(montecarlo, "philox_stream", no_draws)
         with pytest.raises(ValueError, match=message):
             montecarlo.equivalence_battery(**kwargs)
 

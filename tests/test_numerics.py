@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from marc_pnc.channel import PROFILE_PRESETS
-from marc_pnc.numerics import RngStream, complex_gaussian, first_min, first_pair_min, qr_2x3
+from marc_pnc.numerics import complex_gaussian, first_min, first_pair_min, philox_stream, qr_2x3
 
 ATOL = 1e-10
 
@@ -172,23 +172,28 @@ class TestQr2x3:
 
 class TestGaussianSampling:
     def test_rejects_bad_variance(self):
-        rng = RngStream(1, 0)
+        rng = philox_stream(1, 0)
         with pytest.raises(ValueError):
-            rng.gaussian(0.0)
+            complex_gaussian(rng, 0.0)
         with pytest.raises(ValueError):
-            rng.gaussian(-1.0)
+            complex_gaussian(rng, -1.0)
 
     def test_determinism_same_key(self):
-        a = RngStream(1234, 5)
-        b = RngStream(1234, 5)
-        seq_a = [a.gaussian(1.0) for _ in range(64)]
-        seq_b = [b.gaussian(1.0) for _ in range(64)]
+        a = philox_stream(1234, 5)
+        b = philox_stream(1234, 5)
+        seq_a = [complex_gaussian(a, 1.0) for _ in range(64)]
+        seq_b = [complex_gaussian(b, 1.0) for _ in range(64)]
         assert seq_a == seq_b
 
     def test_distinct_streams_differ(self):
-        a = RngStream(1234, 5)
-        b = RngStream(1234, 6)
-        assert [a.gaussian(1.0) for _ in range(8)] != [b.gaussian(1.0) for _ in range(8)]
+        a = philox_stream(1234, 5)
+        b = philox_stream(1234, 6)
+        assert [complex_gaussian(a, 1.0) for _ in range(8)] != [complex_gaussian(b, 1.0) for _ in range(8)]
+
+    def test_keys_are_masked_to_64_bit_words(self):
+        a = philox_stream(-1, (1 << 64) + 3)
+        b = philox_stream((1 << 64) - 1, 3)
+        assert a.random(4).tolist() == b.random(4).tolist()
 
     def test_scalar_and_batched_draws_share_the_stream(self):
         # Bit for bit (uint64 views, so signed zeros count), and both
@@ -196,31 +201,26 @@ class TestGaussianSampling:
         n = 10**5
         variances = {v for p in PROFILE_PRESETS.values() for v in dataclasses.astuple(p)} | {0.1, 1.0, 2.0}
         for stream, sigma2 in enumerate(sorted(variances)):
-            a = RngStream(99, stream)
-            b = RngStream(99, stream)
-            scalars = np.array([a.gaussian(sigma2) for _ in range(n)], dtype=np.complex128)
-            batch = complex_gaussian(b.generator, sigma2, n)
+            a = philox_stream(99, stream)
+            b = philox_stream(99, stream)
+            scalars = np.array([complex_gaussian(a, sigma2) for _ in range(n)], dtype=np.complex128)
+            batch = complex_gaussian(b, sigma2, n)
             differ = np.count_nonzero(scalars.view(np.uint64) != batch.view(np.uint64))
             assert differ == 0, f"sigma2={sigma2}: {differ} of {2 * n} parts differ"
-            assert a.uniform() == b.uniform(), f"sigma2={sigma2}: streams end at different positions"
+            assert a.random() == b.random(), f"sigma2={sigma2}: streams end at different positions"
 
     def test_second_moment(self):
-        z = complex_gaussian(RngStream(7, 0).generator, 1.0, 10**6)
+        z = complex_gaussian(philox_stream(7, 0), 1.0, 10**6)
         mean_sq = float(np.mean(z.real**2 + z.imag**2))
         assert 0.99 <= mean_sq <= 1.01
 
     def test_real_part_variance_sigma2_2(self):
-        z = complex_gaussian(RngStream(8, 0).generator, 2.0, 10**6)
+        z = complex_gaussian(philox_stream(8, 0), 2.0, 10**6)
         assert float(np.var(z.real)) == pytest.approx(1.0, rel=0.01)
 
     def test_kolmogorov_smirnov_real_part(self):
         n = 10**5
-        z = complex_gaussian(RngStream(9, 0).generator, 1.0, n)
+        z = complex_gaussian(philox_stream(9, 0), 1.0, n)
         stat, _ = stats.kstest(z.real, "norm", args=(0.0, math.sqrt(0.5)))
         # 1% critical value of the one-sample KS statistic
         assert stat < 1.628 / math.sqrt(n)
-
-    def test_index_draws_uniform_range(self):
-        rng = RngStream(5, 0)
-        draws = [rng.index(4) for _ in range(200)]
-        assert set(draws) == {0, 1, 2, 3}

@@ -40,7 +40,7 @@ from marc_pnc.destination import (
     role_swap,
 )
 from marc_pnc.montecarlo import SweepSpec, draw_batch, transmit
-from marc_pnc.numerics import philox_bits
+from marc_pnc.numerics import philox_stream
 from marc_pnc.relay import relay_ml_decode
 from test_cfnc import destination_oracle
 
@@ -93,7 +93,7 @@ def test_fast_equals_exhaustive(abcd, relay, snr_db, profile, seed):
     s = spec.signal_set()
     pts = np.asarray(s.points, dtype=np.complex128)
     code, constellation = spec.relay()
-    gen = np.random.Generator(philox_bits(seed, 0))
+    gen = philox_stream(seed, 0)
     d = draw_batch(gen, spec.profile, m, FRAMES)
     relay_sent = gen.integers(0, len(constellation), size=FRAMES)
     root = math.sqrt(k.es)
@@ -136,7 +136,7 @@ def test_relay_and_joint_decoders_equal_scalar_references(abcd, m, map_kind, snr
     cfg = cfnc.cfnc_config()
     pts = np.asarray(s.points, dtype=np.complex128)
     cells = np.asarray(f.cells, dtype=np.int64)
-    d = draw_batch(np.random.Generator(philox_bits(seed, 0)), spec.profile, m, FRAMES)
+    d = draw_batch(philox_stream(seed, 0), spec.profile, m, FRAMES)
     rx = transmit(d, k, pts, *spec.relay())
 
     frames = (rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)

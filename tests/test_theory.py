@@ -30,7 +30,7 @@ from scipy.integrate import quad
 
 from marc_pnc.channel import PROFILE_PRESETS, FadingProfile
 from marc_pnc.montecarlo import BATCH_SIZE, SweepSpec, draw_batch, transmit
-from marc_pnc.numerics import philox_bits
+from marc_pnc.numerics import philox_stream
 
 BATCHES = 8  # 262,144 frames a cell
 PROFILES = {"equal": PROFILE_PRESETS["equal"], "ar-strong": FadingProfile.from_db(ar=10.0)}
@@ -42,7 +42,7 @@ def relay_pair_error_rate(spec: SweepSpec, snr_db: float) -> float:
     relay = spec.relay()
     wrong = 0
     for batch in range(BATCHES):
-        d = draw_batch(np.random.Generator(philox_bits(spec.seed, batch)), spec.profile, spec.m, BATCH_SIZE)
+        d = draw_batch(philox_stream(spec.seed, batch), spec.profile, spec.m, BATCH_SIZE)
         rx = transmit(d, k, pts, *relay)
         wrong += np.count_nonzero((rx.relay_a != d.ia) | (rx.relay_b != d.ib))
     return wrong / (BATCHES * BATCH_SIZE)

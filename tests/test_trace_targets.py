@@ -1,13 +1,13 @@
 """The traced benchmark wraps ``marc_pnc`` module attributes by name
 (``benchmarks/workloads.py:TRACE_TARGETS``) and fails when one is missing.
 These tests read that table through the ``bench`` fixture (conftest.py)
-and run its tracer on a small sweep and a small battery, without running
+and run its tracer on small sweeps and a small battery, without running
 the benchmark, so deleting or renaming a wrapped attribute, calling
-``simulate_batch`` in a way its span attributes cannot read, or a battery
-that stops calling a span the ``equiv-scalar`` workload requires, fails
-here too.
+``simulate_batch`` in a way its span attributes cannot read, or a sweep or
+battery that stops calling a span its workload requires, fails here too.
 """
 
+import dataclasses
 import importlib
 
 import pytest
@@ -61,3 +61,23 @@ def test_battery_plan_counts_the_frames_of_the_default_grid(bench):
     workloads, _ = bench
     report = montecarlo.equivalence_battery(frames_per_cell=workloads.EQUIV_FRAMES_PER_CELL)
     assert workloads.build_plan("equiv-scalar", 0).battery_frames == report.frames
+
+
+#: Frames per SNR point of the shrunken sweeps: enough to run every stage.
+SMALL_TRIALS = 300
+
+
+@pytest.mark.parametrize("workload", ["paper-m4", "highorder-m16"])
+def test_traced_sweeps_record_every_span_their_workload_requires(bench, workload):
+    workloads, spans = bench
+    plan = workloads.build_plan(workload, 0)
+    small = [dataclasses.replace(sw, spec=dataclasses.replace(sw.spec, trials_per_point=SMALL_TRIALS))
+             for sw in plan.sweeps]
+    tracer = spans.Tracer()
+    with tracer:
+        workloads.install_trace(tracer)
+        ops = [workloads.sweep_op(sw, plan.threads) for sw in small]
+    # 300 frames hold too few errors at 20 dB for a diversity fit; every
+    # other stage must succeed.
+    assert [op.error for op in ops if op.error and not op.error.startswith("InsufficientDataError")] == []
+    workloads.layer_metrics(workload, tracer.spans, 1, [1.0], [1.0])  # raises TraceGuardError on a missing span
