@@ -53,16 +53,16 @@ class CfncConfig:
 DEFAULT_THETA = cmath.exp(1j * math.pi / 4.0)
 
 
-def check_cfnc_uniqueness(s: SignalSet, theta: complex, tol: float = 1e-9) -> bool:
-    """True iff all M^2 combined points x_a + theta*x_b are distinct."""
+def check_cfnc_uniqueness(s: SignalSet, theta: complex) -> bool:
+    """True iff all M^2 combined points x_a + theta*x_b are over 1e-9 apart."""
     p = np.asarray(s.points, dtype=np.complex128)
     sums = (p[:, None] + theta * p[None, :]).ravel()
     dist = np.abs(sums[:, None] - sums[None, :])
     np.fill_diagonal(dist, np.inf)
-    return bool((dist > tol).all())
+    return bool((dist > 1e-9).all())
 
 
-def make_cfnc_config(s: SignalSet, theta: complex = DEFAULT_THETA) -> CfncConfig:
+def make_cfnc_config(s: SignalSet, theta: complex) -> CfncConfig:
     """Validated config with power_norm set for unit mean relay energy."""
     if not cmath.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")

@@ -17,17 +17,17 @@ Three decoders share the same frame inputs:
   channel entry r13 to vanish and decouples the x_A and x_R searches.
 
 Each decoder has one implementation, which works on a batch of frames
-(arrays with one entry per frame) and takes the relay as ``SweepSpec.relay``
-gives it, ``(code, constellation)``: for a decoded pair (ia, ib) the relay
-sends ``constellation[code[ia, ib]]``, one of the M source points under a
-Latin-square map or one of the M^2 combined points under cfnc.  Every
-decoder reports a frame's decision as (index_a, index_b, relay_correct):
-the decoded pair, and whether the trust-the-relay hypothesis won.  The
-scalar ``novel_decode_exhaustive`` and the metric functions are kept as the
-independent reference that the batch decoders are tested against; they
-take the same arguments for one frame, as Python numbers and sequences,
-so they read either relay.  ``novel_decode_exhaustive_batch`` is the
-exhaustive rule as sweeps run it.
+(arrays with one entry per frame) and takes ``SweepSpec.scheme_at``'s
+``(k, pts, code, constellation)`` as its trailing arguments: for a decoded
+pair (ia, ib) the relay sends ``constellation[code[ia, ib]]``, one of the M
+source points under a Latin-square map or one of the M^2 combined points
+under cfnc.  Every decoder reports a frame's decision as (index_a, index_b,
+relay_correct): the decoded pair, and whether the trust-the-relay
+hypothesis won.  The scalar ``novel_decode_exhaustive`` and the metric
+functions are kept as the independent reference that the batch decoders
+are tested against; they take the same arguments for one frame, as Python
+numbers and sequences, so they read either relay.
+``novel_decode_exhaustive_batch`` is the exhaustive rule as sweeps run it.
 
 log(es) is the natural logarithm: the metrics are Gaussian
 log-likelihoods, so base e is the only consistent reading.  Both aware

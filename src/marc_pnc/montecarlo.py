@@ -56,7 +56,7 @@ from .destination import (
     novel_decode_exhaustive_batch,
     role_swap,
 )
-from .netmap import LATIN_MAPS, MAP_KINDS, LatinSquare
+from .netmap import LATIN_MAPS, MAP_KINDS
 from .numerics import complex_gaussian, philox_stream
 from .relay import relay_ml_decode, relay_ml_decode_batch
 from .scheme import EXAMPLE1_ABCD, SchemeConstants
@@ -64,7 +64,7 @@ from .scheme import EXAMPLE1_ABCD, SchemeConstants
 # Not called here: kept as module attributes because the benchmark's trace
 # wraps them at this module.
 from .scheme import check_hr_orthogonal, weight_matrices  # noqa: F401
-from .signalset import SignalSet, make_psk
+from .signalset import make_psk
 
 DECODERS = ("min-euclid", "novel-exhaustive", "fast", "cfnc")
 
@@ -146,32 +146,28 @@ class SweepSpec:
             raise ValueError(f"snr_points_db: {pts[-1]} dB is too large, its squared metrics overflow a float")
         if self.decoder == "fast":
             role_swap(k)  # raises HrOrthogonalityError if no pairing holds
-        elif self.decoder == "cfnc":
-            self.cfnc_config()  # raises if theta collapses distinct pairs
+        self.scheme_at(pts[-1])  # raises if a cfnc theta collapses distinct pairs
 
     def constants_at(self, snr_db: float) -> SchemeConstants:
         a, b, c, d = self.constants
         return SchemeConstants(a=a, b=b, c=c, d=d, es=db_to_linear(snr_db))
 
-    def signal_set(self) -> SignalSet:
-        return make_psk(self.m)
-
-    def relay_map(self) -> LatinSquare:
-        return LATIN_MAPS[self.map_kind](self.m)
-
     def cfnc_config(self) -> CfncConfig:
-        return make_cfnc_config(self.signal_set(), self.theta)
+        return make_cfnc_config(make_psk(self.m), self.theta)
 
-    def relay(self) -> tuple[np.ndarray, np.ndarray]:
-        """The relay as ``(code, constellation)``: for the decoded pair
-        (index_a, index_b) it sends ``constellation[code[index_a, index_b]]``.
-        The Latin-square relay codes a pair as its cell and sends a source
-        point; the cfnc relay combines injectively, so its code numbers the
-        M^2 pairs row-major and it sends their combined points."""
-        pts = np.asarray(self.signal_set().points, dtype=np.complex128)
+    def scheme_at(self, snr_db: float) -> tuple[SchemeConstants, np.ndarray, np.ndarray, np.ndarray]:
+        """The arguments every stage takes at ``snr_db``, ``(k, pts, code,
+        constellation)``: the constants, the M source points, and the relay,
+        which for the decoded pair (index_a, index_b) sends
+        ``constellation[code[index_a, index_b]]``.  The Latin-square relay
+        codes a pair as its cell and sends a source point; the cfnc relay
+        combines injectively, so its code numbers the M^2 pairs row-major
+        and it sends their combined points."""
+        k = self.constants_at(snr_db)
+        pts = np.asarray(make_psk(self.m).points, dtype=np.complex128)
         if self.decoder == "cfnc":
-            return np.arange(self.m * self.m).reshape(self.m, self.m), self.cfnc_config().relay_points(pts)
-        return np.asarray(self.relay_map().cells, dtype=np.int64), pts
+            return k, pts, np.arange(self.m * self.m).reshape(self.m, self.m), self.cfnc_config().relay_points(pts)
+        return k, pts, np.asarray(LATIN_MAPS[self.map_kind](self.m).cells, dtype=np.int64), pts
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +294,7 @@ class Received(NamedTuple):
 
 def transmit(d: BatchDraws, k: SchemeConstants, pts, code, constellation) -> Received:
     """Phase 1, relay ML detection, the relay's forwarding and phase 2.
-    ``code`` and ``constellation`` are ``SweepSpec.relay``: the relay sends
+    The arguments after ``d`` are ``SweepSpec.scheme_at``'s: the relay sends
     ``constellation[code[ra, rb]]`` for its decoded pair (ra, rb), and
     ``nc_wrong`` flags ``code[ra, rb] != code[ia, ib]``."""
     root = math.sqrt(k.es)
@@ -323,9 +319,7 @@ def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index
     counters do not depend on the chunk size.
     """
     gen = philox_stream(spec.seed, _stream_id(point_index, batch_index))
-    k = spec.constants_at(snr_db)
-    pts = np.asarray(spec.signal_set().points, dtype=np.complex128)
-    relay = spec.relay()
+    scheme = spec.scheme_at(snr_db)
     decode = {  # looked up per call, so that a kernel patched on this module is used
         "fast": fast_decode, "novel-exhaustive": novel_decode_exhaustive_batch,
         "min-euclid": joint_min_distance, "cfnc": joint_min_distance,
@@ -334,8 +328,8 @@ def simulate_batch(spec: SweepSpec, snr_db: float, point_index: int, batch_index
     counts = SepPoint(snr_db)
     for start in range(0, n, CHUNK_SIZE):
         d = draws.chunk(start, start + CHUNK_SIZE)
-        rx = transmit(d, k, pts, *relay)
-        da, db, _ = decode(rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, *relay)
+        rx = transmit(d, *scheme)
+        da, db, _ = decode(rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, *scheme)
 
         err_a = da != d.ia
         err_b = db != d.ib
@@ -431,10 +425,10 @@ def equivalence_battery(
 
     Each (SNR, profile) cell is the one-point ``fast`` spec
     ``SweepSpec((snr_db,), frames_per_cell, profile, seed=seed)`` (4-PSK,
-    modulo map, the default constants), which gives its constants and
-    relay.  ``frames_per_cell`` is checked first, then all cells are built
-    before anything is drawn, so a bad argument raises ``ValueError`` naming
-    it; points need not ascend.
+    modulo map, the default constants), whose ``scheme_at`` gives the
+    arguments of every stage.  ``frames_per_cell`` is checked first, then
+    all cells are built before anything is drawn, so a bad argument raises
+    ``ValueError`` naming it; points need not ascend.
 
     Cell c draws and relays its frames one at a time from
     ``philox_stream(seed, c)``: per frame two source indices, five fades,
@@ -460,9 +454,8 @@ def equivalence_battery(
 
     for cell, (pname, spec) in enumerate(cells):
         (snr_db,) = spec.snr_points_db
-        k = spec.constants_at(snr_db)
-        code, pts = spec.relay()  # a Latin-square relay sends source points
-        points, table = pts.tolist(), code.tolist()
+        k, pts, code, constellation = spec.scheme_at(snr_db)
+        points, table, relayed = pts.tolist(), code.tolist(), constellation.tolist()
         gen = philox_stream(spec.seed, cell)
         received = []  # per frame, what the destination sees: (y_d1, y_d2, h_ad, h_bd, h_rd)
         for _ in range(frames_per_cell):
@@ -477,17 +470,17 @@ def equivalence_battery(
             y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
             if force:
                 true_nc = table[ia][ib]
-                wrong = int(gen.integers(0, spec.m - 1))
-                x_r = points[wrong if wrong < true_nc else wrong + 1]
+                wrong = int(gen.integers(0, len(constellation) - 1))
+                x_r = relayed[wrong if wrong < true_nc else wrong + 1]
             else:
                 ra, rb = relay_ml_decode(y_r, h.h_ar, h.h_br, k, points)
-                x_r = points[table[ra][rb]]
+                x_r = relayed[table[ra][rb]]
             y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
             received.append((y_d1, y_d2, h.h_ad, h.h_bd, h.h_rd))
         columns = (np.array(column, dtype=np.complex128) for column in zip(*received))
-        fa, fb, fcorrect = fast_decode(*columns, k, pts, code, pts)
+        fa, fb, fcorrect = fast_decode(*columns, k, pts, code, constellation)
         for frame, got in zip(received, zip(fa.tolist(), fb.tolist(), fcorrect.tolist())):
-            ref = novel_decode_exhaustive(*frame, k, points, table, points)
+            ref = novel_decode_exhaustive(*frame, k, points, table, relayed)
             frames += 1
             if got != ref:
                 mismatches += 1

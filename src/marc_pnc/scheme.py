@@ -94,32 +94,28 @@ def restricted_diff_matrix(k: SchemeConstants, da: complex, db: complex) -> np.n
     return np.array([[k.a * da, k.c * da], [k.b * db, k.d * db]], dtype=np.complex128)
 
 
-def check_full_rank_condition(k: SchemeConstants, s: SignalSet, tol: float = 1e-9) -> bool:
+def check_full_rank_condition(k: SchemeConstants, s: SignalSet) -> bool:
     """True iff |det| of every restricted difference matrix with both
-    differences nonzero exceeds tol.
+    differences nonzero exceeds 1e-9.
 
     Zero-difference pairs are excluded: those matrices have a zero row and
     can never be full rank, regardless of the constants.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     diffs = [d for d in difference_set(s) if d != 0]
     for da in diffs:
         for db in diffs:
             (p, q), (r, t) = restricted_diff_matrix(k, da, db)
-            if abs(p * t - q * r) <= tol:
+            if abs(p * t - q * r) <= 1e-9:
                 return False
     return True
 
 
-def check_hr_orthogonal(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> bool:
-    """True iff x @ y* + y @ x* vanishes (entrywise max below tol)."""
+def check_hr_orthogonal(x: np.ndarray, y: np.ndarray) -> bool:
+    """True iff x @ y* + y @ x* vanishes (entrywise max at most 1e-12)."""
     if x.shape != y.shape:
         raise ValueError("shape mismatch")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     total = x @ y.conj().T + y @ x.conj().T
-    return float(np.abs(total).max()) <= tol
+    return float(np.abs(total).max()) <= 1e-12
 
 
 def design_checks() -> dict[str, list[tuple[str, bool]]]:

@@ -39,8 +39,8 @@ def make_psk(m: int) -> SignalSet:
     return SignalSet(points=points)
 
 
-def difference_set(s: SignalSet, tol: float = 1e-12) -> tuple[complex, ...]:
-    """All pairwise differences x - x', deduplicated within tol.
+def difference_set(s: SignalSet) -> tuple[complex, ...]:
+    """All pairwise differences x - x', deduplicated within 1e-12.
 
     Always contains 0 and is closed under negation.
     """
@@ -48,7 +48,7 @@ def difference_set(s: SignalSet, tol: float = 1e-12) -> tuple[complex, ...]:
     for x in s.points:
         for xp in s.points:
             d = x - xp
-            if not any(abs(d - v) <= tol for v in values):
+            if not any(abs(d - v) <= 1e-12 for v in values):
                 values.append(d)
     # Stable order: by magnitude then angle, with 0 first.
     values.sort(key=lambda z: (abs(z), cmath.phase(z) if z != 0 else 0.0))

@@ -180,20 +180,24 @@ def parse_config(text: str) -> dict[str, str]:
 def spec_from_config(values: dict[str, str]) -> SweepSpec:
     """Build a SweepSpec from config values.  The SNR grid defaults to
     0,10,20,30 dB and the trial cap to 100000; every other field, and each
-    part of a-d and theta, that is left out keeps SweepSpec's default."""
+    part of a-d and theta, that is left out keeps SweepSpec's default.  The
+    fading is a ``profile`` preset or per-link ``var_*_db`` variances, not
+    both."""
 
     def get_float(key: str, default: float) -> float:
         return float(values[key]) if key in values else default
 
+    links = [link for link in ("ar", "br", "ad", "bd", "rd") if f"var_{link}_db" in values]
     if "profile" in values:
+        if links:
+            given_vars = ", ".join(f"var_{link}_db" for link in links)
+            raise ValueError(f"give a profile or per-link variances, not both: got profile and {given_vars}")
         name = values["profile"]
         if name not in PROFILE_PRESETS:
             raise ValueError(f"unknown profile preset {name!r}; choose from {sorted(PROFILE_PRESETS)}")
         profile = PROFILE_PRESETS[name]
     else:
-        profile = FadingProfile.from_db(
-            **{link: float(values[f"var_{link}_db"]) for link in ("ar", "br", "ad", "bd", "rd") if f"var_{link}_db" in values}
-        )
+        profile = FadingProfile.from_db(**{link: float(values[f"var_{link}_db"]) for link in links})
 
     defaults = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
     given = {

@@ -18,17 +18,16 @@ from marc_pnc.scheme import example1_constants
 from marc_pnc.signalset import make_psk
 
 S4 = make_psk(4)
-PTS4 = np.asarray(S4.points)
-#: The 4-PSK baseline with the default coefficient, as sweeps run it.
-CFNC4 = SweepSpec(snr_points_db=(0.0,), trials_per_point=1, profile=PROFILE_PRESETS["equal"], decoder="cfnc")
+#: The 4-PSK baseline with the default coefficient, as sweeps run it: the
+#: stage arguments after the constants, (pts, code, constellation).
+_, *CFNC4 = SweepSpec((0.0,), 1, PROFILE_PRESETS["equal"], decoder="cfnc").scheme_at(0.0)
 
 
 def relay_and_decode(d: BatchDraws, k):
     """Relay and decode frames through the sweep engine's cfnc path;
     returns what the relay and the destination decided."""
-    relay = CFNC4.relay()
-    rx = transmit(d, k, PTS4, *relay)
-    da, db, _ = joint_min_distance(rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, PTS4, *relay)
+    rx = transmit(d, k, *CFNC4)
+    da, db, _ = joint_min_distance(rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, *CFNC4)
     return rx, da, db
 
 
@@ -73,32 +72,31 @@ class TestUniqueness:
             make_cfnc_config(S4, theta)
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
-    @pytest.mark.parametrize("case", ["theta=1", "theta=1,tol=0", "default-theta", "half-step"])
+    @pytest.mark.parametrize("case", ["theta=1", "default-theta", "half-step"])
     def test_matches_pairwise_scan(self, m, case):
-        theta, tol, distinct = {
-            # (a, b) and (b, a) combine alike, exactly: even tol = 0 sees it
-            "theta=1": (1.0 + 0.0j, 1e-9, False),
-            "theta=1,tol=0": (1.0 + 0.0j, 0.0, False),
+        theta, distinct = {
+            # (a, b) and (b, a) combine alike
+            "theta=1": (1.0 + 0.0j, False),
             # the default rotates 8-PSK and 16-PSK onto themselves
-            "default-theta": (DEFAULT_THETA, 1e-9, m < 8),
-            "half-step": (cmath.exp(1j * math.pi / m), 1e-9, True),
+            "default-theta": (DEFAULT_THETA, m < 8),
+            "half-step": (cmath.exp(1j * math.pi / m), True),
         }[case]
         s = make_psk(m)
         sums = [xa + theta * xb for xa in s.points for xb in s.points]
-        pairwise = all(abs(sums[i] - sums[j]) > tol for i in range(m * m) for j in range(i + 1, m * m))
+        pairwise = all(abs(sums[i] - sums[j]) > 1e-9 for i in range(m * m) for j in range(i + 1, m * m))
         assert pairwise == distinct
-        assert check_cfnc_uniqueness(s, theta, tol) == distinct
+        assert check_cfnc_uniqueness(s, theta) == distinct
 
 
 class TestRelayConstellation:
     def test_power_norm_gives_unit_mean_energy(self):
-        cfg = make_cfnc_config(S4)
+        cfg = make_cfnc_config(S4, DEFAULT_THETA)
         assert cfg.power_norm == pytest.approx(1.0 / math.sqrt(2.0))
         energies = [abs(z) ** 2 for z in cfg.relay_points(S4.points).tolist()]
         assert sum(energies) / 16 == pytest.approx(1.0)
 
     def test_m_squared_distinct_points(self):
-        cfg = make_cfnc_config(S4)
+        cfg = make_cfnc_config(S4, DEFAULT_THETA)
         pts = {(round(z.real, 9), round(z.imag, 9)) for z in cfg.relay_points(S4.points).tolist()}
         assert len(pts) == 16
 
@@ -133,7 +131,7 @@ class TestCfncFrames:
         assert not rx.nc_wrong.any()
 
     def test_destination_matches_grid_oracle(self):
-        cfg = make_cfnc_config(S4)
+        cfg = make_cfnc_config(S4, DEFAULT_THETA)
         k = example1_constants(6.0)
         rng = philox_stream(300, 0)
         frames = []
@@ -143,7 +141,7 @@ class TestCfncFrames:
             y_d2 = complex_gaussian(rng, 4.0)
             frames.append((y_d1, y_d2, h))
         columns = (np.array(c) for c in zip(*((y1, y2, h.h_ad, h.h_bd, h.h_rd) for y1, y2, h in frames)))
-        da, db, _ = joint_min_distance(*columns, k, PTS4, *CFNC4.relay())
+        da, db, _ = joint_min_distance(*columns, k, *CFNC4)
         for (y_d1, y_d2, h), out in zip(frames, zip(da.tolist(), db.tolist())):
             assert out == destination_oracle(y_d1, y_d2, h, k, S4, cfg)
 

@@ -3,10 +3,26 @@ import re
 import pytest
 
 from marc_pnc import cli
+from marc_pnc.cfnc import DEFAULT_THETA
 from marc_pnc.cli import main, snr_at_sep
 from marc_pnc.channel import PROFILE_PRESETS
 from marc_pnc.montecarlo import EquivalenceReport, SepCurve, SepPoint, SweepSpec
-from marc_pnc.sweepio import parse_csv
+from marc_pnc.scheme import EXAMPLE1_ABCD
+from marc_pnc.sweepio import CONFIG_KEYS, parse_csv
+
+#: Per config key, two valid values: one for the config file, one for the
+#: flag.  The parts of a-d and theta flip sign, so a zero part becomes -0.0.
+OVERRIDES = {
+    "snr_db": ("0,10", "5"), "trials": ("100", "200"), "seed": ("1", "2"), "m": ("4", "8"),
+    "map": ("modulo", "xor"), "decoder": ("fast", "min-euclid"), "error_target": ("10", "20"),
+    "profile": ("equal", "rd-strong"),
+    **{f"var_{link}_db": ("0", "3") for link in ("ar", "br", "ad", "bd", "rd")},
+    **{
+        f"{name}_{part}": (repr(x), repr(-x))
+        for name, z in zip(("a", "b", "c", "d", "theta"), (*EXAMPLE1_ABCD, DEFAULT_THETA))
+        for part, x in (("re", z.real), ("im", z.imag))
+    },
+}
 
 
 class TestVerify:
@@ -70,6 +86,20 @@ class TestSweep:
         assert parsed.rows[0]["sep_joint"] > parsed.rows[1]["sep_joint"]
         assert script.exists()
 
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_flag_overrides_the_config_file(self, key, tmp_path):
+        in_file, in_flag = OVERRIDES[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {in_file}\n")
+
+        def spec(*argv):
+            return cli._spec_from_args(cli.build_parser().parse_args(["sweep", *argv]))
+
+        flag = ["--" + key.replace("_", "-"), in_flag]
+        # repr tells -0.0 from 0.0, where == does not
+        assert repr(spec("--config", str(cfg), *flag)) == repr(spec(*flag))
+        assert repr(spec(*flag)) != repr(spec("--config", str(cfg)))
+
     def test_profile_flag(self, tmp_path):
         out_csv = tmp_path / "o.csv"
         rc = main(["sweep", "--snr-db", "10", "--trials", "20000", "--error-target", "1000000000",
@@ -92,13 +122,17 @@ class TestSweep:
             (["--theta-re", "inf", "--decoder", "cfnc"], "theta must be finite"),
             (["--theta-re", "nan", "--decoder", "cfnc"], "theta must be finite"),
             (["--snr-db", "3070", "--decoder", "fast"], "3070.0 dB is too large"),
+            (["--profile", "rd-strong", "--var-ar-db", "5"], "not both: got profile and var_ar_db"),
+            (["--config", "{preset}", "--var-rd-db", "10"], "not both: got profile and var_rd_db"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 1\n")
+        preset = tmp_path / "preset.cfg"
+        preset.write_text("profile = equal\n")
         out_csv = tmp_path / "out.csv"
-        argv = [a.format(cfg=cfg, missing=tmp_path / "missing.cfg") for a in argv]
+        argv = [a.format(cfg=cfg, missing=tmp_path / "missing.cfg", preset=preset) for a in argv]
         assert main(["sweep", "--trials", "100", "--out", str(out_csv), *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("marc-pnc sweep: ") and message in captured.err

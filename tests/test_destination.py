@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from marc_pnc.cfnc import make_cfnc_config
+from marc_pnc.cfnc import DEFAULT_THETA, make_cfnc_config
 from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS, phase1, phase2, sample_channel
 from marc_pnc.destination import (
     HrOrthogonalityError,
@@ -31,7 +31,7 @@ MOD4 = modulo_latin(4)
 #: The 4-PSK cfnc relay as (code, constellation): pair (ia, ib) sends combined point 4 ia + ib.
 CFNC4 = (
     tuple(tuple(4 * ia + ib for ib in range(4)) for ia in range(4)),
-    make_cfnc_config(S4).relay_points(S4.points).tolist(),
+    make_cfnc_config(S4, DEFAULT_THETA).relay_points(S4.points).tolist(),
 )
 
 

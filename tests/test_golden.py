@@ -16,6 +16,10 @@ its (index_a, index_b, branch) on frames drawn with ``draw_batch`` for M in
 half of them with a uniformly random relay symbol, plus one all-zero frame
 per setting, on which every candidate ties.
 
+The battery digest pins the frames ``equivalence_battery`` hands the
+scalar oracle: the five received values and fades of every call, with the
+oracle's answer.
+
 Every point of that matrix is one partial batch, so it cannot see how a
 sweep is split into batches and rounds.  The benchmark's seed-0 sweeps
 (``benchmarks/golden.json``) can: each point runs up to four full batches
@@ -29,6 +33,7 @@ import math
 import numpy as np
 import pytest
 
+from marc_pnc import montecarlo
 from marc_pnc.channel import PROFILE_PRESETS
 from marc_pnc.destination import novel_decode_exhaustive
 from marc_pnc.montecarlo import DECODERS, MAP_KINDS, SweepSpec, draw_batch, run_sweep, transmit
@@ -183,3 +188,23 @@ def test_oracle_decisions_digest():
         branch = "RELAY_CORRECT" if relay_correct else "RELAY_ERROR"
         h.update(f"{label} {index_a} {index_b} {branch}\n".encode("ascii"))
     assert h.hexdigest() == ORACLE_DIGEST
+
+
+BATTERY_DIGEST = "41d43a246f46de264b9717bbb6fe8ae8ab48bc41a74f567dfc01a5ae1f7bf081"
+
+
+def test_battery_oracle_arguments_digest(monkeypatch):
+    h = hashlib.sha256()
+    calls = 0
+
+    def hashed(*args):
+        nonlocal calls
+        result = novel_decode_exhaustive(*args)
+        h.update(repr((args[:5], result)).encode())
+        calls += 1
+        return result
+
+    monkeypatch.setattr(montecarlo, "novel_decode_exhaustive", hashed)
+    report = montecarlo.equivalence_battery(frames_per_cell=20, seed=20401)
+    assert (calls, report.mismatches) == (240, 0)
+    assert h.hexdigest() == BATTERY_DIGEST

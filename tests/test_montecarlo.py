@@ -25,8 +25,10 @@ from marc_pnc.montecarlo import (
     run_sweep,
     transmit,
 )
+from marc_pnc.netmap import LATIN_MAPS
 from marc_pnc.numerics import philox_stream
 from marc_pnc.relay import relay_ml_decode
+from marc_pnc.signalset import make_psk
 from marc_pnc.sweepio import curve_to_csv
 from test_cfnc import destination_oracle
 
@@ -139,28 +141,27 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
     arithmetic (``montecarlo.transmit``), then hold it and each batch kernel
     to an independent reference: scalar ``phase1``/``phase2`` and the Latin
     cells for ``transmit`` (under both the Latin-square and the cfnc relay
-    of ``SweepSpec.relay``), scalar relay ML for the relay, the scalar
+    of ``SweepSpec.scheme_at``), scalar relay ML for the relay, the scalar
     exhaustive rule for both aware decoders on both relays, a metric_m1 scan
     for minimum distance and the grid oracle of test_cfnc for the
     baseline."""
-    s = spec.signal_set()
-    f = spec.relay_map()
-    pts = np.asarray(s.points)
-    k = spec.constants_at(snr_db)
+    s = make_psk(spec.m)
+    f = LATIN_MAPS[spec.map_kind](spec.m)
     cfnc_spec = dataclasses.replace(spec, decoder="cfnc")
     cfg = cfnc_spec.cfnc_config()
     d = draw_batch(philox_stream(123, 9), EQUAL, spec.m, n)
-    latin, cfnc = spec.relay(), cfnc_spec.relay()
-    y_r, y_d1, y_d2, ra, rb, nc_wrong = transmit(d, k, pts, *latin)
-    combined = transmit(d, k, pts, *cfnc)
+    latin, cfnc = spec.scheme_at(snr_db), cfnc_spec.scheme_at(snr_db)
+    k = latin[0]
+    y_r, y_d1, y_d2, ra, rb, nc_wrong = transmit(d, *latin)
+    combined = transmit(d, *cfnc)
 
-    frames = (y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
+    frames = (y_d1, y_d2, d.h_ad, d.h_bd, d.h_rd)
     fast = np.stack(fast_decode(*frames, *latin), axis=1).tolist()
     exhaustive = np.stack(novel_decode_exhaustive_batch(*frames, *latin), axis=1).tolist()
-    combined_frames = (y_d1, combined.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts, *cfnc)
+    combined_frames = (y_d1, combined.y_d2, d.h_ad, d.h_bd, d.h_rd, *cfnc)
     fast_cfnc = np.stack(fast_decode(*combined_frames), axis=1).tolist()
     exhaustive_cfnc = np.stack(novel_decode_exhaustive_batch(*combined_frames), axis=1).tolist()
-    cfnc_code, cfnc_points = (t.tolist() for t in cfnc)
+    cfnc_code, cfnc_points = (t.tolist() for t in cfnc[2:])
     naive = np.stack(joint_min_distance(*frames, *latin)[:2], axis=1).tolist()
     combining = np.stack(joint_min_distance(*frames, *cfnc)[:2], axis=1).tolist()
 

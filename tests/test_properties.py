@@ -40,8 +40,10 @@ from marc_pnc.destination import (
     role_swap,
 )
 from marc_pnc.montecarlo import SweepSpec, draw_batch, transmit
+from marc_pnc.netmap import LATIN_MAPS
 from marc_pnc.numerics import philox_stream
 from marc_pnc.relay import relay_ml_decode
+from marc_pnc.signalset import make_psk
 from test_cfnc import destination_oracle
 
 FRAMES = 8
@@ -88,11 +90,8 @@ def test_fast_equals_exhaustive(abcd, relay, snr_db, profile, seed):
         map_kind="modulo" if kind == "cfnc" else kind, decoder="cfnc" if kind == "cfnc" else "novel-exhaustive",
         constants=tuple(abcd), theta=cmath.exp(1j * math.pi / m),
     )
-    k = spec.constants_at(snr_db)
+    k, pts, code, constellation = spec.scheme_at(snr_db)
     assert role_swap(k) is swapped
-    s = spec.signal_set()
-    pts = np.asarray(s.points, dtype=np.complex128)
-    code, constellation = spec.relay()
     gen = philox_stream(seed, 0)
     d = draw_batch(gen, spec.profile, m, FRAMES)
     relay_sent = gen.integers(0, len(constellation), size=FRAMES)
@@ -104,7 +103,7 @@ def test_fast_equals_exhaustive(abcd, relay, snr_db, profile, seed):
     frames = (y1, y2, d.h_ad, d.h_bd, d.h_rd, k, pts, code, constellation)
     fast = np.stack(fast_decode(*frames), axis=1).tolist()
     batch = np.stack(novel_decode_exhaustive_batch(*frames), axis=1).tolist()
-    relay_args = (s.points, code.tolist(), constellation.tolist())
+    relay_args = (pts.tolist(), code.tolist(), constellation.tolist())
     columns = (y1.tolist(), y2.tolist(), d.h_ad.tolist(), d.h_bd.tolist(), d.h_rd.tolist())
     for i, frame in enumerate(zip(*columns)):
         want = list(novel_decode_exhaustive(*frame, k, *relay_args))
@@ -129,19 +128,18 @@ def test_relay_and_joint_decoders_equal_scalar_references(abcd, m, map_kind, snr
         snr_points_db=(snr_db,), trials_per_point=1, profile=PROFILE_PRESETS[profile], m=m, map_kind=map_kind,
         decoder="min-euclid", constants=tuple(abcd),
     )
-    k = spec.constants_at(snr_db)
-    s = spec.signal_set()
-    f = spec.relay_map()
+    k, pts, *relay = spec.scheme_at(snr_db)
+    s = make_psk(m)
+    f = LATIN_MAPS[map_kind](m)
     cfnc = dataclasses.replace(spec, decoder="cfnc", theta=cmath.exp(1j * math.pi / m))
     cfg = cfnc.cfnc_config()
-    pts = np.asarray(s.points, dtype=np.complex128)
     cells = np.asarray(f.cells, dtype=np.int64)
     d = draw_batch(philox_stream(seed, 0), spec.profile, m, FRAMES)
-    rx = transmit(d, k, pts, *spec.relay())
+    rx = transmit(d, k, pts, *relay)
 
-    frames = (rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd, k, pts)
-    naive = np.stack(joint_min_distance(*frames, cells, pts)[:2], axis=1).tolist()
-    combining = np.stack(joint_min_distance(*frames, *cfnc.relay())[:2], axis=1).tolist()
+    frames = (rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd)
+    naive = np.stack(joint_min_distance(*frames, k, pts, cells, pts)[:2], axis=1).tolist()
+    combining = np.stack(joint_min_distance(*frames, *cfnc.scheme_at(snr_db))[:2], axis=1).tolist()
     fades = zip(d.h_ar.tolist(), d.h_br.tolist(), d.h_ad.tolist(), d.h_bd.tolist(), d.h_rd.tolist())
     for i, h in enumerate(ChannelRealization(*fade) for fade in fades):
         want_pair = (int(rx.relay_a[i]), int(rx.relay_b[i]))

@@ -134,7 +134,7 @@ class TestFullRankCondition:
         for _ in range(100):
             k = random_constants(gen)
             predicate = abs(k.a * k.d - k.c * k.b) > 1e-6
-            assert check_full_rank_condition(k, s, tol=1e-9) == predicate
+            assert check_full_rank_condition(k, s) == predicate
 
 
 class TestWeightMatrices:

@@ -128,6 +128,10 @@ class TestConfig:
         spec = spec_from_config({"profile": "sr-strong"})
         assert spec.profile == PROFILE_PRESETS["sr-strong"]
 
+    def test_profile_and_link_variances_rejected_together(self):
+        with pytest.raises(ValueError, match="not both: got profile and var_ar_db, var_rd_db$"):
+            spec_from_config({"profile": "equal", "var_rd_db": "10", "var_ar_db": "3"})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("snr = 0,10")

@@ -37,13 +37,11 @@ PROFILES = {"equal": PROFILE_PRESETS["equal"], "ar-strong": FadingProfile.from_d
 
 
 def relay_pair_error_rate(spec: SweepSpec, snr_db: float) -> float:
-    k = spec.constants_at(snr_db)
-    pts = np.asarray(spec.signal_set().points, dtype=np.complex128)
-    relay = spec.relay()
+    scheme = spec.scheme_at(snr_db)
     wrong = 0
     for batch in range(BATCHES):
         d = draw_batch(philox_stream(spec.seed, batch), spec.profile, spec.m, BATCH_SIZE)
-        rx = transmit(d, k, pts, *relay)
+        rx = transmit(d, *scheme)
         wrong += np.count_nonzero((rx.relay_a != d.ia) | (rx.relay_b != d.ib))
     return wrong / (BATCHES * BATCH_SIZE)
 
