@@ -6,7 +6,7 @@ Monte Carlo engine for symbol-error and diversity-order measurements.
 
 __version__ = "0.1.0"
 
-from .cfnc import CfncConfig, check_cfnc_uniqueness, make_cfnc_config
+from .cfnc import check_cfnc_uniqueness, make_cfnc_config
 from .channel import (
     PROFILE_PRESETS,
     ChannelRealization,
@@ -35,7 +35,7 @@ from .montecarlo import (
     equivalence_battery,
     run_sweep,
 )
-from .netmap import LatinSquare, check_exclusive_law, modulo_latin, xor_latin
+from .netmap import check_exclusive_law, modulo_latin, xor_latin
 from .numerics import philox_stream, qr_2x3
 from .relay import relay_ml_decode
 from .scheme import (
@@ -48,7 +48,7 @@ from .scheme import (
     restricted_diff_matrix,
     weight_matrices,
 )
-from .signalset import SignalSet, difference_set, make_psk
+from .signalset import difference_set, make_psk
 from .sweepio import emit_csv, emit_plot_script, parse_config, parse_csv, spec_from_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

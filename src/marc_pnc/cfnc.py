@@ -2,10 +2,11 @@
 
 In this scheme the relay forwards a complex linear combination
 x_A + theta * x_B of its decoded pair instead of a many-to-one map, so its
-transmit constellation has M^2 points, ``CfncConfig.relay_points``, one per
-pair in row-major order.  The destination jointly decodes both phases by
-minimum squared distance, assuming the relay forwarded its hypothesised
-pair: it is ``destination.joint_min_distance`` on that relay.
+transmit constellation has M^2 points, the relay points that
+``make_cfnc_config`` returns, one per pair in row-major order.  The
+destination jointly decodes both phases by minimum squared distance,
+assuming the relay forwarded its hypothesised pair: it is
+``destination.joint_min_distance`` on that relay.
 
 Reconstruction choices (recorded in sweep metadata):
 
@@ -23,50 +24,43 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .signalset import SignalSet
-
-
-@dataclass(frozen=True)
-class CfncConfig:
-    """Relay combining coefficient and its energy normalisation."""
-
-    theta: complex
-    power_norm: float
-
-    def __post_init__(self) -> None:
-        if not abs(abs(self.theta) - 1.0) <= 1e-12:
-            raise ValueError(f"|theta| must be 1, got {abs(self.theta)}")
-        if not self.power_norm > 0:
-            raise ValueError("power_norm must be positive")
-
-    def relay_points(self, pts) -> np.ndarray:
-        """The M^2 points the relay can send, power_norm * (x_a + theta * x_b),
-        pair (index_a, index_b) at index_a * M + index_b."""
-        pts = np.asarray(pts, dtype=np.complex128)
-        return self.power_norm * (pts[:, None] + self.theta * pts[None, :]).ravel()
-
 
 DEFAULT_THETA = cmath.exp(1j * math.pi / 4.0)
 
 
-def check_cfnc_uniqueness(s: SignalSet, theta: complex) -> bool:
-    """True iff all M^2 combined points x_a + theta*x_b are over 1e-9 apart."""
-    p = np.asarray(s.points, dtype=np.complex128)
-    sums = (p[:, None] + theta * p[None, :]).ravel()
-    dist = np.abs(sums[:, None] - sums[None, :])
+def _combine(pts: np.ndarray, theta: complex) -> np.ndarray:
+    """The M^2 sums x_a + theta * x_b, pair (index_a, index_b) at index_a * M + index_b."""
+    return (pts[:, None] + theta * pts[None, :]).ravel()
+
+
+def _distinct(z: np.ndarray) -> bool:
+    """True iff the points z are pairwise over 1e-9 apart."""
+    dist = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(dist, np.inf)
     return bool((dist > 1e-9).all())
 
 
-def make_cfnc_config(s: SignalSet, theta: complex) -> CfncConfig:
-    """Validated config with power_norm set for unit mean relay energy."""
+def check_cfnc_uniqueness(pts: np.ndarray, theta: complex) -> bool:
+    """True iff all M^2 combined points x_a + theta*x_b are over 1e-9 apart."""
+    return _distinct(_combine(pts, theta))
+
+
+def make_cfnc_config(pts: np.ndarray, theta: complex) -> tuple[float, np.ndarray]:
+    """``(power_norm, constellation)`` of the relay combining the points
+    ``pts`` with ``theta``: constellation[index_a * M + index_b] is
+    power_norm * (x_a + theta * x_b), and power_norm makes the mean relay
+    energy 1.  Raises ``ValueError`` unless theta is finite, of modulus 1
+    and keeps all M^2 combined points distinct."""
     if not cmath.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    if not check_cfnc_uniqueness(s, theta):
+    if not abs(abs(theta) - 1.0) <= 1e-12:
+        raise ValueError(f"|theta| must be 1, got {abs(theta)}")
+    sums = _combine(pts, theta)
+    if not _distinct(sums):
         raise ValueError(f"theta={theta!r} collapses distinct pairs on this constellation")
-    mean_energy = sum(abs(xa + theta * xb) ** 2 for xa in s.points for xb in s.points) / s.m**2
-    return CfncConfig(theta=theta, power_norm=1.0 / math.sqrt(mean_energy))
+    points = pts.tolist()
+    mean_energy = sum(abs(xa + theta * xb) ** 2 for xa in points for xb in points) / len(points) ** 2
+    power_norm = 1.0 / math.sqrt(mean_energy)
+    return power_norm, power_norm * sums

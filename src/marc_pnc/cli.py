@@ -118,10 +118,10 @@ def cmd_verify(_args: argparse.Namespace) -> int:
             failures += not ok
 
     print("relay maps (rows: source A index, columns: source B index):")
-    print("modulo-4:")
-    print("  " + modulo_latin(4).to_text().replace("\n", "\n  "))
-    print("xor-4:")
-    print("  " + xor_latin(4).to_text().replace("\n", "\n  "))
+    for name, table in (("modulo-4", modulo_latin(4)), ("xor-4", xor_latin(4))):
+        print(f"{name}:")
+        for row in table.tolist():
+            print("  " + " ".join(map(str, row)))
 
     if failures:
         print(f"{failures} check(s) FAILED")

@@ -144,8 +144,8 @@ def novel_decode_exhaustive(
     """Relay-error-aware decoding by direct evaluation (O(M^3) work).
 
     Takes the batch decoders' arguments for one frame, as Python numbers
-    and sequences (``SignalSet.points``, ``LatinSquare.cells`` or an
-    array's ``.tolist()``).  Minimises min(m1, log(es) + m2) over all pairs
+    and sequences: the arrays of ``SweepSpec.scheme_at`` through their
+    ``.tolist()``.  Minimises min(m1, log(es) + m2) over all pairs
     and returns (index_a, index_b, relay_correct), as every batch decoder
     does for each frame.  relay_correct is the branch of the winning x_B:
     its best trust-the-relay metric against its best penalised

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cfnc import DEFAULT_THETA, CfncConfig, make_cfnc_config
+from .cfnc import DEFAULT_THETA, make_cfnc_config
 from .channel import (
     PROFILE_PRESETS,
     FadingProfile,
@@ -146,13 +146,15 @@ class SweepSpec:
             raise ValueError(f"snr_points_db: {pts[-1]} dB is too large, its squared metrics overflow a float")
         if self.decoder == "fast":
             role_swap(k)  # raises HrOrthogonalityError if no pairing holds
-        self.scheme_at(pts[-1])  # raises if a cfnc theta collapses distinct pairs
+        elif self.decoder == "cfnc":
+            self.cfnc_config()  # raises unless theta is finite, unit and injective
 
     def constants_at(self, snr_db: float) -> SchemeConstants:
         a, b, c, d = self.constants
         return SchemeConstants(a=a, b=b, c=c, d=d, es=db_to_linear(snr_db))
 
-    def cfnc_config(self) -> CfncConfig:
+    def cfnc_config(self) -> tuple[float, np.ndarray]:
+        """The cfnc relay's ``(power_norm, constellation)`` for this spec."""
         return make_cfnc_config(make_psk(self.m), self.theta)
 
     def scheme_at(self, snr_db: float) -> tuple[SchemeConstants, np.ndarray, np.ndarray, np.ndarray]:
@@ -164,10 +166,11 @@ class SweepSpec:
         combines injectively, so its code numbers the M^2 pairs row-major
         and it sends their combined points."""
         k = self.constants_at(snr_db)
-        pts = np.asarray(make_psk(self.m).points, dtype=np.complex128)
+        pts = make_psk(self.m)
         if self.decoder == "cfnc":
-            return k, pts, np.arange(self.m * self.m).reshape(self.m, self.m), self.cfnc_config().relay_points(pts)
-        return k, pts, np.asarray(LATIN_MAPS[self.map_kind](self.m).cells, dtype=np.int64), pts
+            _, constellation = make_cfnc_config(pts, self.theta)
+            return k, pts, np.arange(self.m * self.m).reshape(self.m, self.m), constellation
+        return k, pts, LATIN_MAPS[self.map_kind](self.m), pts
 
 
 # ---------------------------------------------------------------------------

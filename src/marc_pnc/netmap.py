@@ -10,41 +10,27 @@ the combinatorial object stays independent of the constellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 
-@dataclass(frozen=True)
-class LatinSquare:
-    """M x M table of symbol indices, each appearing once per row and column.
+def modulo_latin(m: int) -> np.ndarray:
+    """(M, M) int64 table with cell (r, c) = (r + c) mod M; requires M >= 2.
 
     Rows are indexed by source A's symbol index, columns by source B's.
     """
-
-    cells: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        m = len(self.cells)
-        if m < 2 or any(len(r) != m for r in self.cells):
-            raise ValueError("cells must form a square array of order >= 2")
-        if any(not (0 <= v < m) for r in self.cells for v in r):
-            raise ValueError(f"cell values must lie in [0, {m})")
-        if not check_exclusive_law(self.cells):
-            raise ValueError("table is not a Latin square")
-
-    def to_text(self) -> str:
-        """Plain-text grid, one row per line, space-separated indices."""
-        return "\n".join(" ".join(str(v) for v in row) for row in self.cells)
+    if m < 2:
+        raise ValueError(f"a modulo map needs an order >= 2, got {m}")
+    r = np.arange(m, dtype=np.int64)
+    return (r[:, None] + r[None, :]) % m
 
 
-def modulo_latin(m: int) -> LatinSquare:
-    """Table with cell (r, c) = (r + c) mod M."""
-    return LatinSquare(tuple(tuple((r + c) % m for c in range(m)) for r in range(m)))
-
-
-def xor_latin(m: int) -> LatinSquare:
-    """Table with cell (r, c) = r XOR c; requires M a power of two, as any
-    other order puts a value >= M in some cell, which ``LatinSquare`` rejects."""
-    return LatinSquare(tuple(tuple(r ^ c for c in range(m)) for r in range(m)))
+def xor_latin(m: int) -> np.ndarray:
+    """(M, M) int64 table with cell (r, c) = r XOR c; requires M a power of
+    two >= 2, as any other order puts a value >= M in some cell."""
+    if m < 2 or m & (m - 1):
+        raise ValueError(f"an XOR map needs an order that is a power of two >= 2, got {m}")
+    r = np.arange(m, dtype=np.int64)
+    return r[:, None] ^ r[None, :]
 
 
 #: The relay maps a sweep can name, by kind.

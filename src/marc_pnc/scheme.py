@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmap import LATIN_MAPS, check_exclusive_law
-from .signalset import SignalSet, difference_set, make_psk
+from .signalset import difference_set, make_psk
 
 _ENERGY_TOL = 1e-12
 
@@ -94,14 +94,14 @@ def restricted_diff_matrix(k: SchemeConstants, da: complex, db: complex) -> np.n
     return np.array([[k.a * da, k.c * da], [k.b * db, k.d * db]], dtype=np.complex128)
 
 
-def check_full_rank_condition(k: SchemeConstants, s: SignalSet) -> bool:
+def check_full_rank_condition(k: SchemeConstants, pts: np.ndarray) -> bool:
     """True iff |det| of every restricted difference matrix with both
-    differences nonzero exceeds 1e-9.
+    differences of the points ``pts`` nonzero exceeds 1e-9.
 
     Zero-difference pairs are excluded: those matrices have a zero row and
     can never be full rank, regardless of the constants.
     """
-    diffs = [d for d in difference_set(s) if d != 0]
+    diffs = [d for d in difference_set(pts) if d != 0]
     for da in diffs:
         for db in diffs:
             (p, q), (r, t) = restricted_diff_matrix(k, da, db)
@@ -133,7 +133,7 @@ def design_checks() -> dict[str, list[tuple[str, bool]]]:
     wm = weight_matrices(k)
     return {
         "exclusive law (modulo and XOR maps, plus violators)": [
-            *((f"{kind}-{m} map satisfies the exclusive law", check_exclusive_law(latin(m).cells))
+            *((f"{kind}-{m} map satisfies the exclusive law", check_exclusive_law(latin(m)))
               for m in (2, 4, 8, 16) for kind, latin in LATIN_MAPS.items()),
             *((f"{name} rejected", not check_exclusive_law(cells)) for name, cells in violators.items()),
         ],

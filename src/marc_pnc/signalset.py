@@ -2,51 +2,35 @@
 
 Both sources draw symbols from the same M-point set with M a power of two.
 All analysis is symbol-level: symbols are identified by their index into
-the point tuple, and no bit labelling is defined.
+the point array, and no bit labelling is defined.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 
-@dataclass(frozen=True)
-class SignalSet:
-    """M-point constellation with M a power of two >= 2, all points |x| = 1."""
-
-    points: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        m = len(self.points)
-        if m < 2 or m & (m - 1):
-            raise ValueError(f"the number of points must be a power of two >= 2, got {m}")
-        for p in self.points:
-            if abs(abs(p) - 1.0) > 1e-12:
-                raise ValueError(f"point {p!r} is not unit energy")
-        if len({(round(p.real, 12), round(p.imag, 12)) for p in self.points}) != m:
-            raise ValueError("constellation points are not distinct")
-
-    @property
-    def m(self) -> int:
-        return len(self.points)
+def make_psk(m: int) -> np.ndarray:
+    """M-PSK as the (M,) complex128 array of points exp(i*2*pi*k/M), k =
+    0..M-1; M must be a power of two >= 2."""
+    if m < 2 or m & (m - 1):
+        raise ValueError(f"the number of points must be a power of two >= 2, got {m}")
+    return np.array([cmath.exp(1j * (2.0 * math.pi * k / m)) for k in range(m)], dtype=np.complex128)
 
 
-def make_psk(m: int) -> SignalSet:
-    """M-PSK with points exp(i*2*pi*k/M), k = 0..M-1."""
-    points = tuple(cmath.exp(1j * (2.0 * math.pi * k / m)) for k in range(m))
-    return SignalSet(points=points)
-
-
-def difference_set(s: SignalSet) -> tuple[complex, ...]:
-    """All pairwise differences x - x', deduplicated within 1e-12.
+def difference_set(pts: np.ndarray) -> tuple[complex, ...]:
+    """All pairwise differences x - x' of the points ``pts``, deduplicated
+    within 1e-12.
 
     Always contains 0 and is closed under negation.
     """
+    points = pts.tolist()
     values: list[complex] = []
-    for x in s.points:
-        for xp in s.points:
+    for x in points:
+        for xp in points:
             d = x - xp
             if not any(abs(d - v) <= 1e-12 for v in values):
                 values.append(d)

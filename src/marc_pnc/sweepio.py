@@ -48,7 +48,8 @@ def curve_metadata(curve: SepCurve) -> dict[str, str]:
         "var_rd": _fmt(spec.profile.var_rd),
     }
     if spec.decoder == "cfnc":
-        meta["cfnc_power_norm"] = _fmt(spec.cfnc_config().power_norm)
+        power_norm, _ = spec.cfnc_config()
+        meta["cfnc_power_norm"] = _fmt(power_norm)
         meta["cfnc_notes"] = (
             "reconstruction: constant relay scaling (unit mean energy, known at D); "
             "sources transmit in both phases with the same a,b,c,d split"
@@ -177,15 +178,27 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
+def _parse(key: str, cast, text: str):
+    """``cast(text)``, with a ``ValueError`` prefixed by the config key."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
 def spec_from_config(values: dict[str, str]) -> SweepSpec:
     """Build a SweepSpec from config values.  The SNR grid defaults to
     0,10,20,30 dB and the trial cap to 100000; every other field, and each
     part of a-d and theta, that is left out keeps SweepSpec's default.  The
     fading is a ``profile`` preset or per-link ``var_*_db`` variances, not
-    both."""
+    both.  A value that does not parse raises ``ValueError`` naming its key."""
 
     def get_float(key: str, default: float) -> float:
-        return float(values[key]) if key in values else default
+        return _parse(key, float, values[key]) if key in values else default
 
     links = [link for link in ("ar", "br", "ad", "bd", "rd") if f"var_{link}_db" in values]
     if "profile" in values:
@@ -197,11 +210,11 @@ def spec_from_config(values: dict[str, str]) -> SweepSpec:
             raise ValueError(f"unknown profile preset {name!r}; choose from {sorted(PROFILE_PRESETS)}")
         profile = PROFILE_PRESETS[name]
     else:
-        profile = FadingProfile.from_db(**{link: float(values[f"var_{link}_db"]) for link in links})
+        profile = FadingProfile.from_db(**{link: get_float(f"var_{link}_db", 0.0) for link in links})
 
     defaults = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
     given = {
-        field: cast(values[key])
+        field: _parse(key, cast, values[key])
         for key, field, cast in (
             ("m", "m", int), ("map", "map_kind", str), ("decoder", "decoder", str),
             ("seed", "seed", int), ("error_target", "error_target", int),
@@ -209,8 +222,8 @@ def spec_from_config(values: dict[str, str]) -> SweepSpec:
         if key in values
     }
     return SweepSpec(
-        snr_points_db=tuple(float(v) for v in values.get("snr_db", "0,10,20,30").split(",")),
-        trials_per_point=int(values.get("trials", "100000")),
+        snr_points_db=_parse("snr_db", _float_list, values.get("snr_db", "0,10,20,30")),
+        trials_per_point=_parse("trials", int, values.get("trials", "100000")),
         profile=profile,
         constants=tuple(
             complex(get_float(f"{name}_re", z.real), get_float(f"{name}_im", z.imag))

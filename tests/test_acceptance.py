@@ -214,15 +214,15 @@ class TestCriterion8ComplexityScaling:
     def test_instrumented_candidate_counts(self, acceptance_report, scored_metrics):
         counts = {}
         for m in (4, 8, 16):
-            s = make_psk(m)
-            f = modulo_latin(m)
+            pts = make_psk(m)
+            cells = modulo_latin(m)
             k = example1_constants(8.0)
             rng = philox_stream(20_408, m)
             fast_n = exh_n = 0
             frames = 25
             for _ in range(frames):
                 h = sample_channel(rng, EQUAL)
-                frame = (complex_gaussian(rng, 2.0), complex_gaussian(rng, 2.0), h.h_ad, h.h_bd, h.h_rd, k, s.points, f.cells, s.points)
+                frame = (complex_gaussian(rng, 2.0), complex_gaussian(rng, 2.0), h.h_ad, h.h_bd, h.h_rd, k, pts, cells, pts)
                 fast_n += scored_metrics(fast_decode, *frame)
                 exh_n += scored_metrics(novel_decode_exhaustive_batch, *frame)
             counts[m] = (fast_n / frames, exh_n / frames)

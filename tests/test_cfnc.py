@@ -6,7 +6,6 @@ import pytest
 
 from marc_pnc.cfnc import (
     DEFAULT_THETA,
-    CfncConfig,
     check_cfnc_uniqueness,
     make_cfnc_config,
 )
@@ -35,7 +34,7 @@ class TestUniqueness:
     def test_default_theta_on_qpsk(self):
         assert check_cfnc_uniqueness(S4, DEFAULT_THETA)
         # brute-force confirmation
-        sums = [xa + DEFAULT_THETA * xb for xa in S4.points for xb in S4.points]
+        sums = [xa + DEFAULT_THETA * xb for xa in S4.tolist() for xb in S4.tolist()]
         assert all(abs(sums[i] - sums[j]) > 1e-9 for i in range(16) for j in range(16) if i != j)
 
     def test_theta_one_collides(self):
@@ -58,12 +57,10 @@ class TestUniqueness:
             make_cfnc_config(S4, theta=1.0 + 0.0j)
 
     def test_config_invariants(self):
-        with pytest.raises(ValueError, match="theta"):
-            CfncConfig(theta=2.0 + 0.0j, power_norm=1.0)
-        with pytest.raises(ValueError, match="power_norm"):
-            CfncConfig(theta=1j, power_norm=0.0)
-        with pytest.raises(ValueError, match="theta"):
-            CfncConfig(theta=complex(math.nan, 0.0), power_norm=1.0)
+        with pytest.raises(ValueError, match=r"\|theta\| must be 1"):
+            make_cfnc_config(S4, 2.0 + 0.0j)
+        with pytest.raises(ValueError, match="finite"):
+            make_cfnc_config(S4, complex(math.nan, 0.0))
 
     @pytest.mark.parametrize("theta", [complex(math.inf, 0.0), complex(math.nan, 0.0), complex(0.0, -math.inf)])
     def test_make_config_rejects_a_non_finite_theta(self, theta):
@@ -81,33 +78,33 @@ class TestUniqueness:
             "default-theta": (DEFAULT_THETA, m < 8),
             "half-step": (cmath.exp(1j * math.pi / m), True),
         }[case]
-        s = make_psk(m)
-        sums = [xa + theta * xb for xa in s.points for xb in s.points]
+        pts = make_psk(m)
+        sums = [xa + theta * xb for xa in pts.tolist() for xb in pts.tolist()]
         pairwise = all(abs(sums[i] - sums[j]) > 1e-9 for i in range(m * m) for j in range(i + 1, m * m))
         assert pairwise == distinct
-        assert check_cfnc_uniqueness(s, theta) == distinct
+        assert check_cfnc_uniqueness(pts, theta) == distinct
 
 
 class TestRelayConstellation:
     def test_power_norm_gives_unit_mean_energy(self):
-        cfg = make_cfnc_config(S4, DEFAULT_THETA)
-        assert cfg.power_norm == pytest.approx(1.0 / math.sqrt(2.0))
-        energies = [abs(z) ** 2 for z in cfg.relay_points(S4.points).tolist()]
+        power_norm, constellation = make_cfnc_config(S4, DEFAULT_THETA)
+        assert power_norm == pytest.approx(1.0 / math.sqrt(2.0))
+        energies = [abs(z) ** 2 for z in constellation.tolist()]
         assert sum(energies) / 16 == pytest.approx(1.0)
 
     def test_m_squared_distinct_points(self):
-        cfg = make_cfnc_config(S4, DEFAULT_THETA)
-        pts = {(round(z.real, 9), round(z.imag, 9)) for z in cfg.relay_points(S4.points).tolist()}
+        _, constellation = make_cfnc_config(S4, DEFAULT_THETA)
+        pts = {(round(z.real, 9), round(z.imag, 9)) for z in constellation.tolist()}
         assert len(pts) == 16
 
 
-def destination_oracle(y_d1, y_d2, h, k, s, cfg):
+def destination_oracle(y_d1, y_d2, h, k, points, theta, power_norm):
     """Independent joint scan sorted by (metric, ia, ib)."""
     root = math.sqrt(k.es)
     rows = []
-    for ia, xa in enumerate(s.points):
-        for ib, xb in enumerate(s.points):
-            comb = cfg.power_norm * (xa + cfg.theta * xb)
+    for ia, xa in enumerate(points):
+        for ib, xb in enumerate(points):
+            comb = power_norm * (xa + theta * xb)
             d = (
                 abs(y_d1 - h.h_ad * root * k.a * xa - h.h_bd * root * k.b * xb) ** 2
                 + abs(y_d2 - h.h_ad * root * k.c * xa - h.h_bd * root * k.d * xb - h.h_rd * root * comb) ** 2
@@ -131,7 +128,7 @@ class TestCfncFrames:
         assert not rx.nc_wrong.any()
 
     def test_destination_matches_grid_oracle(self):
-        cfg = make_cfnc_config(S4, DEFAULT_THETA)
+        power_norm, _ = make_cfnc_config(S4, DEFAULT_THETA)
         k = example1_constants(6.0)
         rng = philox_stream(300, 0)
         frames = []
@@ -143,7 +140,7 @@ class TestCfncFrames:
         columns = (np.array(c) for c in zip(*((y1, y2, h.h_ad, h.h_bd, h.h_rd) for y1, y2, h in frames)))
         da, db, _ = joint_min_distance(*columns, k, *CFNC4)
         for (y_d1, y_d2, h), out in zip(frames, zip(da.tolist(), db.tolist())):
-            assert out == destination_oracle(y_d1, y_d2, h, k, S4, cfg)
+            assert out == destination_oracle(y_d1, y_d2, h, k, S4.tolist(), DEFAULT_THETA, power_norm)
 
     def test_noisy_frames_mostly_correct_at_high_snr(self):
         k = example1_constants(10**3.0)

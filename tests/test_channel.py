@@ -92,7 +92,7 @@ class TestPhases:
     def test_phase2_no_first_source_term_when_c_zero(self):
         k = example1_constants(1.0)
         h = ChannelRealization(0.0, 0.0, 123.0, 0.5, 0.25)
-        for xa in make_psk(4).points:
+        for xa in make_psk(4).tolist():
             assert phase2(k, h, xa, 1.0, 1j, 0.0) == phase2(k, h, 0.0, 1.0, 1j, 0.0)
 
     def test_phase2_direct_formula(self):
@@ -107,11 +107,11 @@ class TestMatrixFormConsistency:
         from marc_pnc.scheme import codeword_matrix
 
         gen = np.random.default_rng(21)
-        s = make_psk(4)
+        points = make_psk(4).tolist()
         for _ in range(200):
             k = example1_constants(float(gen.uniform(0.5, 50.0)))
             h = random_realization(gen)
-            xa, xb, xr = (s.points[int(gen.integers(0, 4))] for _ in range(3))
+            xa, xb, xr = (points[int(gen.integers(0, 4))] for _ in range(3))
             z1, z2 = (complex(*gen.standard_normal(2)) for _ in range(2))
             _, y_d1 = phase1(k, h, xa, xb, 0.0, z1)
             y_d2 = phase2(k, h, xa, xb, xr, z2)

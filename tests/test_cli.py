@@ -25,13 +25,22 @@ OVERRIDES = {
 }
 
 
+#: Per config key, a value that does not parse.
+BAD_VALUES = {"error_target": "1e6", "snr_db": "0,,10", "m": "4.0", "theta_re": "x"}
+
+
 class TestVerify:
     def test_passes_and_prints_checks(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") >= 12
         assert "[FAIL]" not in out
-        assert "0 1 2 3" in out  # map grids printed
+        assert out.endswith(
+            "relay maps (rows: source A index, columns: source B index):\n"
+            "modulo-4:\n  0 1 2 3\n  1 2 3 0\n  2 3 0 1\n  3 0 1 2\n"
+            "xor-4:\n  0 1 2 3\n  1 0 3 2\n  2 3 0 1\n  3 2 1 0\n"
+            "all checks passed\n"
+        )
 
 
 class TestEquiv:
@@ -124,6 +133,11 @@ class TestSweep:
             (["--snr-db", "3070", "--decoder", "fast"], "3070.0 dB is too large"),
             (["--profile", "rd-strong", "--var-ar-db", "5"], "not both: got profile and var_ar_db"),
             (["--config", "{preset}", "--var-rd-db", "10"], "not both: got profile and var_rd_db"),
+            (["--theta-re", "2", "--decoder", "cfnc"], "|theta| must be 1"),
+            (["--config", "{values}/error_target"], "error_target: invalid literal for int()"),
+            (["--config", "{values}/snr_db"], "snr_db: could not convert string to float: ''"),
+            (["--config", "{values}/m"], "m: invalid literal for int()"),
+            (["--config", "{values}/theta_re"], "theta_re: could not convert string to float: 'x'"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
@@ -131,8 +145,12 @@ class TestSweep:
         cfg.write_text("frobnicate = 1\n")
         preset = tmp_path / "preset.cfg"
         preset.write_text("profile = equal\n")
+        values = tmp_path / "values"
+        values.mkdir()
+        for key, value in BAD_VALUES.items():
+            (values / key).write_text(f"{key} = {value}\n")
         out_csv = tmp_path / "out.csv"
-        argv = [a.format(cfg=cfg, missing=tmp_path / "missing.cfg", preset=preset) for a in argv]
+        argv = [a.format(cfg=cfg, missing=tmp_path / "missing.cfg", preset=preset, values=values) for a in argv]
         assert main(["sweep", "--trials", "100", "--out", str(out_csv), *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("marc-pnc sweep: ") and message in captured.err

@@ -26,12 +26,12 @@ from marc_pnc.scheme import SchemeConstants, example1_constants
 from marc_pnc.signalset import make_psk
 
 INV = 1.0 / math.sqrt(2.0)
-S4 = make_psk(4)
-MOD4 = modulo_latin(4)
+S4 = make_psk(4).tolist()
+MOD4 = modulo_latin(4).tolist()
 #: The 4-PSK cfnc relay as (code, constellation): pair (ia, ib) sends combined point 4 ia + ib.
 CFNC4 = (
     tuple(tuple(4 * ia + ib for ib in range(4)) for ia in range(4)),
-    make_cfnc_config(S4, DEFAULT_THETA).relay_points(S4.points).tolist(),
+    make_cfnc_config(make_psk(4), DEFAULT_THETA)[1].tolist(),
 )
 
 
@@ -45,14 +45,14 @@ class Frame(NamedTuple):
     h_bd: complex
     h_rd: complex
     k: SchemeConstants
-    pts: tuple
-    code: tuple
-    constellation: tuple
+    pts: list
+    code: list
+    constellation: list
 
 
 def make_input(y_d1, y_d2, h, k, s=S4, f=MOD4) -> Frame:
-    """A frame on the Latin-square relay of map f over s."""
-    return Frame(y_d1, y_d2, h.h_ad, h.h_bd, h.h_rd, k, s.points, f.cells, s.points)
+    """A frame on the Latin-square relay of map f over the points s."""
+    return Frame(y_d1, y_d2, h.h_ad, h.h_bd, h.h_rd, k, s, f, s)
 
 
 def decode_one(decoder, frame: Frame):
@@ -67,22 +67,22 @@ def random_decode_input(rng: np.random.Generator, es: float, k=None, profile=Non
     input plus the transmitted indices and the relay decision."""
     k = (example1_constants(es) if k is None else dataclasses.replace(k, es=es))
     profile = profile or PROFILE_PRESETS["equal"]
-    ia = int(rng.integers(0, s.m))
-    ib = int(rng.integers(0, s.m))
+    ia = int(rng.integers(0, len(s)))
+    ib = int(rng.integers(0, len(s)))
     h = sample_channel(rng, profile)
     z_r = complex_gaussian(rng, 1.0)
     z_d1 = complex_gaussian(rng, 1.0)
     z_d2 = complex_gaussian(rng, 1.0)
-    xa, xb = s.points[ia], s.points[ib]
+    xa, xb = s[ia], s[ib]
     y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
     if force_relay_error:
-        wrong = int(rng.integers(0, s.m - 1))
-        nc = wrong if wrong < f.cells[ia][ib] else wrong + 1
-        x_r = s.points[nc]
+        wrong = int(rng.integers(0, len(s) - 1))
+        nc = wrong if wrong < f[ia][ib] else wrong + 1
+        x_r = s[nc]
         relay_pair = None
     else:
-        relay_pair = relay_ml_decode(y_r, h.h_ar, h.h_br, k, s.points)
-        x_r = s.points[f.cells[relay_pair[0]][relay_pair[1]]]
+        relay_pair = relay_ml_decode(y_r, h.h_ar, h.h_br, k, s)
+        x_r = s[f[relay_pair[0]][relay_pair[1]]]
     y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
     return make_input(y_d1, y_d2, h, k, s, f), (ia, ib), relay_pair
 
@@ -100,8 +100,8 @@ def frame_rotation(inp: Frame):
 def noiseless_relay_correct_input(ia, ib, es, h=None):
     k = example1_constants(es)
     h = h or ChannelRealization(1.0, 1.0, 0.9 + 0.2j, 0.4 - 1.1j, 0.7 + 0.7j)
-    xa, xb = S4.points[ia], S4.points[ib]
-    x_r = S4.points[MOD4.cells[ia][ib]]
+    xa, xb = S4[ia], S4[ib]
+    x_r = S4[MOD4[ia][ib]]
     _, y_d1 = phase1(k, h, xa, xb, 0.0, 0.0)
     y_d2 = phase2(k, h, xa, xb, x_r, 0.0)
     return make_input(y_d1, y_d2, h, k)
@@ -129,18 +129,18 @@ class TestMetrics:
                     assert metric_m1(*inp, ia, ib) >= 0.0
 
     def test_m2_single_candidate_for_bpsk(self):
-        s2 = make_psk(2)
-        f2 = modulo_latin(2)
+        s2 = make_psk(2).tolist()
+        f2 = modulo_latin(2).tolist()
         k = example1_constants(3.0)
         h = ChannelRealization(1.0, 1.0, 0.9, 1.2, 0.8)
         inp = make_input(0.3 + 0.1j, -0.2j, h, k, s2, f2)
         root = math.sqrt(k.es)
         for ia in range(2):
             for ib in range(2):
-                other = s2.points[1 - f2.cells[ia][ib]]
+                other = s2[1 - f2[ia][ib]]
                 want = (
-                    abs(inp.y1 - h.h_ad * root * k.a * s2.points[ia] - h.h_bd * root * k.b * s2.points[ib]) ** 2
-                    + abs(inp.y2 - h.h_ad * root * k.c * s2.points[ia] - h.h_bd * root * k.d * s2.points[ib]
+                    abs(inp.y1 - h.h_ad * root * k.a * s2[ia] - h.h_bd * root * k.b * s2[ib]) ** 2
+                    + abs(inp.y2 - h.h_ad * root * k.c * s2[ia] - h.h_bd * root * k.d * s2[ib]
                           - h.h_rd * root * other) ** 2
                 )
                 assert metric_m2(*inp, ia, ib) == pytest.approx(want)
@@ -149,10 +149,10 @@ class TestMetrics:
         k = example1_constants(7.0)
         h = ChannelRealization(1.0, 1.0, 1.1, 0.6 + 0.3j, -0.4 + 0.9j)
         ia, ib = 1, 2
-        wrong_nc = (MOD4.cells[ia][ib] + 2) % 4
-        xa, xb = S4.points[ia], S4.points[ib]
+        wrong_nc = (MOD4[ia][ib] + 2) % 4
+        xa, xb = S4[ia], S4[ib]
         _, y_d1 = phase1(k, h, xa, xb, 0.0, 0.0)
-        y_d2 = phase2(k, h, xa, xb, S4.points[wrong_nc], 0.0)
+        y_d2 = phase2(k, h, xa, xb, S4[wrong_nc], 0.0)
         inp = make_input(y_d1, y_d2, h, k)
         assert metric_m2(*inp, ia, ib) < 1e-24
 
@@ -162,8 +162,8 @@ class TestMetrics:
             inp, _, _ = random_decode_input(rng, es=2.0)
             k = inp.k
             root = math.sqrt(k.es)
-            for ia, xa in enumerate(S4.points):
-                for ib, xb in enumerate(S4.points):
+            for ia, xa in enumerate(S4):
+                for ib, xb in enumerate(S4):
                     p1 = abs(inp.y1 - inp.h_ad * root * k.a * xa - inp.h_bd * root * k.b * xb) ** 2
                     assert metric_m2(*inp, ia, ib) >= p1 - 1e-12
 
@@ -182,8 +182,8 @@ class TestMetrics:
     def test_m4_reduces_to_residuals_at_unit_energy(self):
         rng = philox_stream(103, 0)
         inp, _, _ = random_decode_input(rng, es=1.0)
-        xa, xb = S4.points[1], S4.points[3]
-        xr = S4.points[MOD4.cells[1][3]]
+        xa, xb = S4[1], S4[3]
+        xr = S4[MOD4[1][3]]
         assert metric_m4(*inp[:6], xa, xb, xr) == pytest.approx(metric_m1(*inp, 1, 3), rel=1e-12)
 
     def test_m4_relation_to_m1_and_m2(self):
@@ -193,12 +193,12 @@ class TestMetrics:
             ln_es = math.log(inp.k.es)
             for ia in range(4):
                 for ib in range(4):
-                    xa, xb = S4.points[ia], S4.points[ib]
-                    fidx = MOD4.cells[ia][ib]
-                    assert metric_m4(*inp[:6], xa, xb, S4.points[fidx]) == pytest.approx(
+                    xa, xb = S4[ia], S4[ib]
+                    fidx = MOD4[ia][ib]
+                    assert metric_m4(*inp[:6], xa, xb, S4[fidx]) == pytest.approx(
                         metric_m1(*inp, ia, ib) + ln_es, rel=1e-12
                     )
-                    best_wrong = min(metric_m4(*inp[:6], xa, xb, S4.points[r]) for r in range(4) if r != fidx)
+                    best_wrong = min(metric_m4(*inp[:6], xa, xb, S4[r]) for r in range(4) if r != fidx)
                     assert best_wrong == pytest.approx(metric_m2(*inp, ia, ib) + ln_es, rel=1e-12)
 
     def test_m4_requires_unit_snr(self):
@@ -290,9 +290,9 @@ class TestNovelDecodeExhaustive:
         k = example1_constants(es)
         h = ChannelRealization(1.0, 1.0, 1.0, 1.0, 1.0)
         ia, ib = 0, 1
-        xa, xb = S4.points[ia], S4.points[ib]
+        xa, xb = S4[ia], S4[ib]
         _, y_d1 = phase1(k, h, xa, xb, 0.0, 0.0)
-        y_d2 = phase2(k, h, xa, xb, S4.points[0], 0.0)
+        y_d2 = phase2(k, h, xa, xb, S4[0], 0.0)
         inp = make_input(y_d1, y_d2, h, k)
 
         ln_es = math.log(es)
@@ -322,7 +322,7 @@ class TestNovelDecodeExhaustive:
         with pytest.raises(ValueError, match="es >= 1"):
             novel_decode_exhaustive(*inp)
 
-    @pytest.mark.parametrize("field,value", [("pts", make_psk(2).points), ("code", modulo_latin(2).cells)])
+    @pytest.mark.parametrize("field,value", [("pts", make_psk(2).tolist()), ("code", modulo_latin(2).tolist())])
     def test_a_code_that_does_not_match_the_points_is_rejected(self, field, value):
         # a 4 x 4 code with 2 points, and a 2 x 2 code with 4 points
         inp = noiseless_relay_correct_input(0, 1, es=4.0)._replace(**{field: value})
@@ -331,8 +331,8 @@ class TestNovelDecodeExhaustive:
 
     def test_pair_matches_plain_per_pair_scan(self):
         for m, frames in ((2, 200), (4, 600), (8, 120), (16, 24)):
-            s = make_psk(m)
-            for j, f in enumerate((modulo_latin(m), xor_latin(m))):
+            s = make_psk(m).tolist()
+            for j, f in enumerate((modulo_latin(m).tolist(), xor_latin(m).tolist())):
                 rng = philox_stream(119, 2 * m + j)
                 for i in range(frames):
                     es = (1.0, math.e, 20.0, 400.0)[i % 4]
@@ -403,7 +403,7 @@ class TestPhiMetrics:
             r, yt = frame_rotation(inp)
             for ia in range(4):
                 for ib in range(4):
-                    p1, p2, _ = relay_phis(inp, r, yt, ia, ib, S4.points[0])
+                    p1, p2, _ = relay_phis(inp, r, yt, ia, ib, S4[0])
                     assert p1 + p2 == pytest.approx(metric_m1(*inp, ia, ib), abs=1e-8 * max(1.0, inp.k.es))
 
     def test_phi3_minimum_bounded_by_network_coded_choice(self):
@@ -413,8 +413,8 @@ class TestPhiMetrics:
             r, yt = frame_rotation(inp)
             for ia in range(4):
                 for ib in range(4):
-                    fpt = S4.points[MOD4.cells[ia][ib]]
-                    phi3_all = [relay_phis(inp, r, yt, ia, ib, xr)[2] for xr in S4.points]
+                    fpt = S4[MOD4[ia][ib]]
+                    phi3_all = [relay_phis(inp, r, yt, ia, ib, xr)[2] for xr in S4]
                     assert relay_phis(inp, r, yt, ia, ib, fpt)[2] >= min(phi3_all) - 1e-15
 
     def test_zero_inputs_zero_metrics(self):
@@ -435,7 +435,7 @@ class TestPhiMetrics:
             for ia in range(4):
                 for ib in range(4):
                     for ir in range(4):
-                        xa, xb, xr = S4.points[ia], S4.points[ib], S4.points[ir]
+                        xa, xb, xr = S4[ia], S4[ib], S4[ir]
                         direct = (
                             abs(inp.y1 - k.a * inp.h_ad * root * xa - k.b * inp.h_bd * root * xb) ** 2
                             + abs(inp.y2 - k.c * inp.h_ad * root * xa - k.d * inp.h_bd * root * xb
@@ -455,16 +455,16 @@ class TestPhiMetrics:
             r, yt = frame_rotation(inp)
             for ib in range(4):
                 m3_min = min(metric_m3(*inp, ia, ib) for ia in range(4))
-                phi1_min = min(relay_phis(inp, r, yt, ia, ib, S4.points[0])[0] for ia in range(4))
-                phi3_min = min(relay_phis(inp, r, yt, 0, ib, xr)[2] for xr in S4.points)
+                phi1_min = min(relay_phis(inp, r, yt, ia, ib, S4[0])[0] for ia in range(4))
+                phi3_min = min(relay_phis(inp, r, yt, 0, ib, xr)[2] for xr in S4)
                 assert m3_min == pytest.approx(phi1_min + phi3_min, abs=1e-8 * max(1.0, m3_min))
 
 
 class TestEvalCounts:
     @pytest.mark.parametrize("m", [4, 8, 16])
     def test_counts_follow_complexity_orders(self, m, scored_metrics):
-        s = make_psk(m)
-        f = modulo_latin(m)
+        s = make_psk(m).tolist()
+        f = modulo_latin(m).tolist()
         k = example1_constants(10.0)
         rng = philox_stream(118, m)
         h = sample_channel(rng, PROFILE_PRESETS["equal"])

@@ -158,11 +158,11 @@ def oracle_inputs():
     order."""
     stream = 0
     for m in (2, 4, 8, 16):
-        s = make_psk(m)
-        pts = np.asarray(s.points, dtype=np.complex128)
+        pts = make_psk(m)
+        points = pts.tolist()
         for map_kind in MAP_KINDS:
-            f = modulo_latin(m) if map_kind == "modulo" else xor_latin(m)
-            cells = np.asarray(f.cells, dtype=np.int64)
+            cells = modulo_latin(m) if map_kind == "modulo" else xor_latin(m)
+            table = cells.tolist()
             for es in (1.0, 10.0, 1000.0):
                 for constants in (EXAMPLE1_ABCD, ROLE_SWAP_CONSTANTS):
                     k = SchemeConstants(*constants, es=es)
@@ -178,7 +178,7 @@ def oracle_inputs():
                     columns = zip(rx.y_d1.tolist(), y_d2.tolist(), d.h_ad.tolist(), d.h_bd.tolist(), d.h_rd.tolist())
                     label = f"m{m}-{map_kind}-es{es:g}-{'default' if constants == EXAMPLE1_ABCD else 'role-swap'}"
                     for y_d1, y2, h_ad, h_bd, h_rd in [*columns, (0j,) * 5]:
-                        yield label, (y_d1, y2, h_ad, h_bd, h_rd, k, s.points, f.cells, s.points)
+                        yield label, (y_d1, y2, h_ad, h_bd, h_rd, k, points, table, points)
 
 
 def test_oracle_decisions_digest():

@@ -145,10 +145,10 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
     exhaustive rule for both aware decoders on both relays, a metric_m1 scan
     for minimum distance and the grid oracle of test_cfnc for the
     baseline."""
-    s = make_psk(spec.m)
-    f = LATIN_MAPS[spec.map_kind](spec.m)
+    points = make_psk(spec.m).tolist()
+    cells = LATIN_MAPS[spec.map_kind](spec.m).tolist()
     cfnc_spec = dataclasses.replace(spec, decoder="cfnc")
-    cfg = cfnc_spec.cfnc_config()
+    power_norm, _ = cfnc_spec.cfnc_config()
     d = draw_batch(philox_stream(123, 9), EQUAL, spec.m, n)
     latin, cfnc = spec.scheme_at(snr_db), cfnc_spec.scheme_at(snr_db)
     k = latin[0]
@@ -173,31 +173,31 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
     for i, h in enumerate(ChannelRealization(*fade) for fade in fades):
         ia, ib = int(d.ia[i]), int(d.ib[i])
         z_r, z_d1, z_d2 = complex(d.z_r[i]), complex(d.z_d1[i]), complex(d.z_d2[i])
-        xa, xb = s.points[ia], s.points[ib]
-        pair = relay_ml_decode(complex(y_r[i]), h.h_ar, h.h_br, k, s.points)
+        xa, xb = points[ia], points[ib]
+        pair = relay_ml_decode(complex(y_r[i]), h.h_ar, h.h_br, k, points)
         assert pair == (int(ra[i]), int(rb[i]))
         want_r, want_d1 = phase1(k, h, xa, xb, z_r, z_d1)
         assert close(y_r[i], want_r) and close(y_d1[i], want_d1)
-        assert close(y_d2[i], phase2(k, h, xa, xb, s.points[f.cells[pair[0]][pair[1]]], z_d2))
-        assert nc_wrong[i] == (f.cells[pair[0]][pair[1]] != f.cells[ia][ib])
+        assert close(y_d2[i], phase2(k, h, xa, xb, points[cells[pair[0]][pair[1]]], z_d2))
+        assert nc_wrong[i] == (cells[pair[0]][pair[1]] != cells[ia][ib])
         # cfnc: same phase 1, the relay combines its pair injectively
         assert (combined.y_r[i], combined.y_d1[i]) == (y_r[i], y_d1[i])
         assert (int(combined.relay_a[i]), int(combined.relay_b[i])) == pair
-        x_r = cfg.power_norm * (s.points[pair[0]] + cfg.theta * s.points[pair[1]])
+        x_r = power_norm * (points[pair[0]] + spec.theta * points[pair[1]])
         assert close(combined.y_d2[i], phase2(k, h, xa, xb, x_r, z_d2))
         assert combined.nc_wrong[i] == (pair != (ia, ib))
-        frame = (complex(y_d1[i]), complex(y_d2[i]), h.h_ad, h.h_bd, h.h_rd, k, s.points, f.cells, s.points)
+        frame = (complex(y_d1[i]), complex(y_d2[i]), h.h_ad, h.h_bd, h.h_rd, k, points, cells, points)
         want = list(novel_decode_exhaustive(*frame))
         assert fast[i] == want
         assert exhaustive[i] == want
         y_cfnc = complex(combined.y_d2[i])
-        combined_frame = (complex(y_d1[i]), y_cfnc, h.h_ad, h.h_bd, h.h_rd, k, s.points, cfnc_code, cfnc_points)
+        combined_frame = (complex(y_d1[i]), y_cfnc, h.h_ad, h.h_bd, h.h_rd, k, points, cfnc_code, cfnc_points)
         want = list(novel_decode_exhaustive(*combined_frame))
         assert fast_cfnc[i] == want
         assert exhaustive_cfnc[i] == want
-        scan = min((metric_m1(*frame, ia, ib), ia, ib) for ia in range(s.m) for ib in range(s.m))
+        scan = min((metric_m1(*frame, ia, ib), ia, ib) for ia in range(spec.m) for ib in range(spec.m))
         assert naive[i] == [scan[1], scan[2]]
-        assert tuple(combining[i]) == destination_oracle(complex(y_d1[i]), complex(y_d2[i]), h, k, s, cfg)
+        assert tuple(combining[i]) == destination_oracle(complex(y_d1[i]), complex(y_d2[i]), h, k, points, spec.theta, power_norm)
 
 
 class TestBatchKernels:

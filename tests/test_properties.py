@@ -129,11 +129,11 @@ def test_relay_and_joint_decoders_equal_scalar_references(abcd, m, map_kind, snr
         decoder="min-euclid", constants=tuple(abcd),
     )
     k, pts, *relay = spec.scheme_at(snr_db)
-    s = make_psk(m)
-    f = LATIN_MAPS[map_kind](m)
+    points = make_psk(m).tolist()
+    cells = LATIN_MAPS[map_kind](m)
+    table = cells.tolist()
     cfnc = dataclasses.replace(spec, decoder="cfnc", theta=cmath.exp(1j * math.pi / m))
-    cfg = cfnc.cfnc_config()
-    cells = np.asarray(f.cells, dtype=np.int64)
+    power_norm, _ = cfnc.cfnc_config()
     d = draw_batch(philox_stream(seed, 0), spec.profile, m, FRAMES)
     rx = transmit(d, k, pts, *relay)
 
@@ -143,9 +143,9 @@ def test_relay_and_joint_decoders_equal_scalar_references(abcd, m, map_kind, snr
     fades = zip(d.h_ar.tolist(), d.h_br.tolist(), d.h_ad.tolist(), d.h_bd.tolist(), d.h_rd.tolist())
     for i, h in enumerate(ChannelRealization(*fade) for fade in fades):
         want_pair = (int(rx.relay_a[i]), int(rx.relay_b[i]))
-        assert relay_ml_decode(complex(rx.y_r[i]), h.h_ar, h.h_br, k, s.points) == want_pair, f"frame {i}"
+        assert relay_ml_decode(complex(rx.y_r[i]), h.h_ar, h.h_br, k, points) == want_pair, f"frame {i}"
         y1, y2 = complex(rx.y_d1[i]), complex(rx.y_d2[i])
-        frame = (y1, y2, h.h_ad, h.h_bd, h.h_rd, k, s.points, f.cells, s.points)
+        frame = (y1, y2, h.h_ad, h.h_bd, h.h_rd, k, points, table, points)
         scan = min((metric_m1(*frame, ia, ib), ia, ib) for ia in range(m) for ib in range(m))
         assert naive[i] == [scan[1], scan[2]], f"frame {i}"
-        assert tuple(combining[i]) == destination_oracle(y1, y2, h, k, s, cfg), f"frame {i}"
+        assert tuple(combining[i]) == destination_oracle(y1, y2, h, k, points, cfnc.theta, power_norm), f"frame {i}"

@@ -8,24 +8,24 @@ from marc_pnc.scheme import example1_constants
 from marc_pnc.signalset import make_psk
 
 
-def grid_oracle(y_r, h, k, s):
+def grid_oracle(y_r, h, k, points):
     """Independent argmin: enumerate all pairs and sort by (distance, ia, ib)."""
     root = math.sqrt(k.es)
     rows = []
-    for ia, xa in enumerate(s.points):
-        for ib, xb in enumerate(s.points):
+    for ia, xa in enumerate(points):
+        for ib, xb in enumerate(points):
             d = abs(y_r - h.h_ar * root * k.a * xa - h.h_br * root * k.b * xb) ** 2
             rows.append((d, ia, ib))
     rows.sort()
     return rows[0][1], rows[0][2]
 
 
-def random_frame(gen, k, s, noisy=True):
+def random_frame(gen, k, points, noisy=True):
     h = ChannelRealization(*(complex(*gen.standard_normal(2)) / math.sqrt(2) for _ in range(5)))
-    ia, ib = (int(v) for v in gen.integers(0, s.m, size=2))
+    ia, ib = (int(v) for v in gen.integers(0, len(points), size=2))
     z = complex(*gen.standard_normal(2)) / math.sqrt(2) if noisy else 0.0
     root = math.sqrt(k.es)
-    y_r = h.h_ar * root * k.a * s.points[ia] + h.h_br * root * k.b * s.points[ib] + z
+    y_r = h.h_ar * root * k.a * points[ia] + h.h_br * root * k.b * points[ib] + z
     return y_r, h, ia, ib
 
 
@@ -33,40 +33,40 @@ class TestRelayMlDecode:
     def test_noiseless_recovery(self):
         gen = np.random.default_rng(17)
         k = example1_constants(1.0)
-        s = make_psk(4)
+        points = make_psk(4).tolist()
         for _ in range(500):
-            y_r, h, ia, ib = random_frame(gen, k, s, noisy=False)
-            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, s.points) == (ia, ib)
+            y_r, h, ia, ib = random_frame(gen, k, points, noisy=False)
+            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, points) == (ia, ib)
 
     def test_dead_second_link_tie_break(self):
         # with h_br = 0 every candidate for source B is equivalent, so ties
         # resolve to index 0; source A still decodes exactly
         k = example1_constants(1.0)
-        s = make_psk(4)
+        points = make_psk(4).tolist()
         h = ChannelRealization(h_ar=0.8 - 0.3j, h_br=0.0, h_ad=1.0, h_bd=1.0, h_rd=1.0)
         for ia in range(4):
-            y_r = h.h_ar * k.a * s.points[ia]
-            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, s.points) == (ia, 0)
+            y_r = h.h_ar * k.a * points[ia]
+            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, points) == (ia, 0)
 
     def test_matches_grid_oracle_on_noisy_frames(self):
         gen = np.random.default_rng(18)
         k = example1_constants(8.0)
-        s = make_psk(4)
+        points = make_psk(4).tolist()
         for _ in range(1000):
-            y_r, h, _, _ = random_frame(gen, k, s)
-            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, s.points) == grid_oracle(y_r, h, k, s)
+            y_r, h, _, _ = random_frame(gen, k, points)
+            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, points) == grid_oracle(y_r, h, k, points)
 
     def test_abs_and_squared_abs_agree(self):
         gen = np.random.default_rng(19)
         k = example1_constants(2.0)
-        s = make_psk(4)
+        points = make_psk(4).tolist()
         root = math.sqrt(k.es)
         for _ in range(300):
-            y_r, h, _, _ = random_frame(gen, k, s)
+            y_r, h, _, _ = random_frame(gen, k, points)
             rows = []
-            for ia, xa in enumerate(s.points):
-                for ib, xb in enumerate(s.points):
+            for ia, xa in enumerate(points):
+                for ib, xb in enumerate(points):
                     d = abs(y_r - h.h_ar * root * k.a * xa - h.h_br * root * k.b * xb)
                     rows.append((d, ia, ib))
             rows.sort()
-            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, s.points) == (rows[0][1], rows[0][2])
+            assert relay_ml_decode(y_r, h.h_ar, h.h_br, k, points) == (rows[0][1], rows[0][2])

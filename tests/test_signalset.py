@@ -1,24 +1,25 @@
+import numpy as np
 import pytest
 
-from marc_pnc.signalset import SignalSet, difference_set, make_psk
+from marc_pnc.signalset import difference_set, make_psk
 
 
 class TestMakePsk:
     def test_bpsk_points(self):
-        s = make_psk(2)
-        assert s.points[0] == pytest.approx(1.0)
-        assert s.points[1] == pytest.approx(-1.0)
+        pts = make_psk(2)
+        assert pts[0] == pytest.approx(1.0)
+        assert pts[1] == pytest.approx(-1.0)
 
     def test_qpsk_points(self):
-        s = make_psk(4)
+        pts = make_psk(4)
+        assert pts.shape == (4,) and pts.dtype == np.complex128
         expected = [1.0, 1j, -1.0, -1j]
-        for p, e in zip(s.points, expected):
+        for p, e in zip(pts.tolist(), expected):
             assert p == pytest.approx(e, abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
     def test_unit_energy(self, m):
-        s = make_psk(m)
-        assert all(abs(abs(p) ** 2 - 1.0) < 1e-12 for p in s.points)
+        assert all(abs(abs(p) ** 2 - 1.0) < 1e-12 for p in make_psk(m).tolist())
 
     @pytest.mark.parametrize("m", [3, 6, 12, 0, 1])
     def test_non_power_of_two_rejected(self, m):
@@ -27,18 +28,17 @@ class TestMakePsk:
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_points_sum_to_zero(self, m):
-        assert abs(sum(make_psk(m).points)) < 1e-12
-
-    def test_invalid_signal_set_rejected(self):
-        with pytest.raises(ValueError, match="unit energy"):
-            SignalSet(points=(2.0 + 0j, -2.0 + 0j))
-        with pytest.raises(ValueError, match="distinct"):
-            SignalSet(points=(1.0 + 0j, 1.0 + 0j))
+        assert abs(sum(make_psk(m).tolist())) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_point_count_must_be_a_power_of_two(self, n):
-        with pytest.raises(ValueError, match=f"power of two >= 2, got {n}"):
-            SignalSet(points=make_psk(8).points[:n])
+        with pytest.raises(ValueError, match=f"the number of points must be a power of two >= 2, got {n}"):
+            make_psk(n)
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+    def test_points_are_distinct(self, m):
+        points = make_psk(m).tolist()
+        assert all(abs(points[i] - points[j]) > 1e-9 for i in range(m) for j in range(i))
 
 
 class TestDifferenceSet:
@@ -65,11 +65,11 @@ class TestDifferenceSet:
             assert any(abs(v + w) < 1e-9 for w in values)
 
     def test_count_matches_bruteforce(self):
-        s = make_psk(8)
+        pts = make_psk(8)
         brute = []
-        for x in s.points:
-            for xp in s.points:
+        for x in pts.tolist():
+            for xp in pts.tolist():
                 d = x - xp
                 if not any(abs(d - v) < 1e-12 for v in brute):
                     brute.append(d)
-        assert len(difference_set(s)) == len(brute)
+        assert len(difference_set(pts)) == len(brute)

@@ -140,6 +140,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="key=value"):
             parse_config("just some text")
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("trials", "1e6", "trials: invalid literal for int() with base 10: '1e6'"),
+            ("m", "4.0", "m: invalid literal for int() with base 10: '4.0'"),
+            ("snr_db", "0,,10", "snr_db: could not convert string to float: ''"),
+            ("theta_re", "x", "theta_re: could not convert string to float: 'x'"),
+            ("var_rd_db", "x", "var_rd_db: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_a_value_that_does_not_parse_names_its_key(self, key, value, message):
+        with pytest.raises(ValueError) as caught:
+            spec_from_config({key: value})
+        assert str(caught.value) == message
+
     def test_constants_as_re_im_pairs(self):
         inv = 1.0 / math.sqrt(2.0)
         spec = spec_from_config(parse_config(f"b_re = {inv}\nb_im = 0.0"))

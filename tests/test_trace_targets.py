@@ -70,6 +70,9 @@ SMALL_TRIALS = 300
 @pytest.mark.parametrize("workload", ["paper-m4", "highorder-m16"])
 def test_traced_sweeps_record_every_span_their_workload_requires(bench, workload):
     workloads, spans = bench
+    # The specs are built before tracing starts, as the benchmark builds
+    # them during set-up: a span called only while a spec is built is not
+    # recorded by a traced solution, so it must not count here either.
     plan = workloads.build_plan(workload, 0)
     small = [dataclasses.replace(sw, spec=dataclasses.replace(sw.spec, trials_per_point=SMALL_TRIALS))
              for sw in plan.sweeps]
