@@ -6,7 +6,7 @@ Monte Carlo engine for symbol-error and diversity-order measurements.
 
 __version__ = "0.1.0"
 
-from .cfnc import check_cfnc_uniqueness, make_cfnc_config
+from .cfnc import make_cfnc_config
 from .channel import (
     PROFILE_PRESETS,
     ChannelRealization,
@@ -26,7 +26,7 @@ from .destination import (
     novel_decode_exhaustive,
     phi_metrics,
 )
-from .diversity import DiversityFit, InsufficientDataError, estimate_diversity, probability_window
+from .diversity import DiversityFit, InsufficientDataError, estimate_diversity
 from .montecarlo import (
     EquivalenceReport,
     SepCurve,

@@ -30,35 +30,20 @@ import numpy as np
 DEFAULT_THETA = cmath.exp(1j * math.pi / 4.0)
 
 
-def _combine(pts: np.ndarray, theta: complex) -> np.ndarray:
-    """The M^2 sums x_a + theta * x_b, pair (index_a, index_b) at index_a * M + index_b."""
-    return (pts[:, None] + theta * pts[None, :]).ravel()
-
-
-def _distinct(z: np.ndarray) -> bool:
-    """True iff the points z are pairwise over 1e-9 apart."""
-    dist = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(dist, np.inf)
-    return bool((dist > 1e-9).all())
-
-
-def check_cfnc_uniqueness(pts: np.ndarray, theta: complex) -> bool:
-    """True iff all M^2 combined points x_a + theta*x_b are over 1e-9 apart."""
-    return _distinct(_combine(pts, theta))
-
-
 def make_cfnc_config(pts: np.ndarray, theta: complex) -> tuple[float, np.ndarray]:
     """``(power_norm, constellation)`` of the relay combining the points
     ``pts`` with ``theta``: constellation[index_a * M + index_b] is
     power_norm * (x_a + theta * x_b), and power_norm makes the mean relay
     energy 1.  Raises ``ValueError`` unless theta is finite, of modulus 1
-    and keeps all M^2 combined points distinct."""
+    and keeps all M^2 combined points over 1e-9 apart."""
     if not cmath.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     if not abs(abs(theta) - 1.0) <= 1e-12:
         raise ValueError(f"|theta| must be 1, got {abs(theta)}")
-    sums = _combine(pts, theta)
-    if not _distinct(sums):
+    sums = (pts[:, None] + theta * pts[None, :]).ravel()
+    dist = np.abs(sums[:, None] - sums[None, :])
+    np.fill_diagonal(dist, np.inf)
+    if not (dist > 1e-9).all():
         raise ValueError(f"theta={theta!r} collapses distinct pairs on this constellation")
     points = pts.tolist()
     mean_energy = sum(abs(xa + theta * xb) ** 2 for xa in points for xb in points) / len(points) ** 2

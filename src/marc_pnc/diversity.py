@@ -3,6 +3,12 @@
 The diversity order is the asymptotic slope of -log10(p) against SNR on a
 log-log axis; with SNR expressed in dB the regressor is snr_db / 10, so a
 probability falling as SNR^-2 fits a slope of exactly 2.
+
+A fit takes the points with at least MIN_EVENTS error events, finds the
+dB span from the lowest to the highest SNR whose value lies strictly inside
+the probability band, and fits every such point in that span: a point
+whose value falls outside the band is fitted too if its SNR lies inside the
+span.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ MIN_POINTS = 3
 
 
 class InsufficientDataError(ValueError):
-    """Raised when a window holds too few valid points for a fit."""
+    """Raised when a band holds too few valid points for a fit."""
 
 
 @dataclass(frozen=True)
@@ -32,41 +38,32 @@ class DiversityFit:
     n_points: int
 
 
-def _valid_points(curve: SepCurve, which: str, window_db: tuple[float, float], min_events: int):
-    if which not in PROBABILITY_EVENTS:
-        raise ValueError(f"unknown curve field {which!r}")
-    lo, hi = window_db
-    chosen = []
-    for p in curve.points:
-        if not (lo <= p.snr_db <= hi):
-            continue
-        v = getattr(p, which)
-        if v is None or v <= 0.0:
-            continue
-        if p.event_count(which) < min_events:
-            continue
-        chosen.append((p.snr_db, v))
-    return chosen
-
-
 def estimate_diversity(
     curve: SepCurve,
     which: str = "sep_joint",
-    window_db: tuple[float, float] = (0.0, 100.0),
-    min_events: int = MIN_EVENTS,
+    band: tuple[float, float] = (0.0, math.inf),
 ) -> DiversityFit:
-    """Least-squares slope of -log10(p) vs snr_db/10 over the window.
+    """Least-squares slope of -log10(p) vs snr_db/10 over the dB span of
+    the open probability interval ``band`` (default: every positive value).
 
-    Only points with at least ``min_events`` error events enter the fit;
-    raises ``InsufficientDataError`` (stating the shortfall) if fewer than
-    three qualify.
+    Raises ``InsufficientDataError``, naming the field, the band and each
+    point's event count, if fewer than three points qualify.
     """
-    chosen = _valid_points(curve, which, window_db, min_events)
+    if which not in PROBABILITY_EVENTS:
+        raise ValueError(f"unknown curve field {which!r}")
+    events = PROBABILITY_EVENTS[which]
+    # each value is its events over a count that includes them, so a point
+    # with events has a positive value, never None
+    usable = [(p.snr_db, getattr(p, which)) for p in curve.points if getattr(p, events) >= MIN_EVENTS]
+    lo, hi = band
+    in_band = [s for s, v in usable if lo < v < hi]
+    span = (min(in_band), max(in_band)) if in_band else (math.inf, -math.inf)
+    chosen = [(s, v) for s, v in usable if span[0] <= s <= span[1]]
     if len(chosen) < MIN_POINTS:
-        counts = {p.snr_db: p.event_count(which) for p in curve.points if window_db[0] <= p.snr_db <= window_db[1]}
+        counts = {p.snr_db: getattr(p, events) for p in curve.points}
         raise InsufficientDataError(
-            f"need >= {MIN_POINTS} points with >= {min_events} events for {which!r} "
-            f"in {window_db}; event counts: {counts}"
+            f"need >= {MIN_POINTS} points with >= {MIN_EVENTS} events for {which!r} "
+            f"inside {band}; event counts: {counts}"
         )
     x = np.array([s / 10.0 for s, _ in chosen])
     y = np.array([-np.log10(v) for _, v in chosen])
@@ -77,22 +74,7 @@ def estimate_diversity(
     return DiversityFit(
         slope=float(slope),
         intercept=float(intercept),
-        fit_window_db=(float(chosen[0][0]), float(chosen[-1][0])),
+        fit_window_db=(float(span[0]), float(span[1])),
         r_squared=r2,
         n_points=len(chosen),
     )
-
-
-def probability_window(
-    curve: SepCurve,
-    which: str,
-    prob_range: tuple[float, float],
-    min_events: int = MIN_EVENTS,
-) -> tuple[float, float]:
-    """Smallest dB window containing every point whose value falls inside
-    the open probability interval (with enough events)."""
-    lo, hi = prob_range
-    snrs = [s for s, v in _valid_points(curve, which, (-math.inf, math.inf), min_events) if lo < v < hi]
-    if not snrs:
-        raise InsufficientDataError(f"no points with {which!r} inside {prob_range} and >= {min_events} events")
-    return (min(snrs), max(snrs))

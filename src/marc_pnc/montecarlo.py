@@ -234,9 +234,6 @@ class SepPoint:
         summed = {f: getattr(self, f) + getattr(other, f) for f in ("trials", *PROBABILITY_EVENTS.values())}
         return SepPoint(snr_db=self.snr_db, **summed)
 
-    def event_count(self, which: str) -> int:
-        return getattr(self, PROBABILITY_EVENTS[which])
-
 
 @dataclass(frozen=True)
 class SepCurve:

@@ -14,7 +14,7 @@ import pytest
 from marc_pnc.channel import PROFILE_PRESETS, sample_channel
 from marc_pnc.cli import REFERENCE_GAIN_DB, snr_at_sep
 from marc_pnc.destination import fast_decode, novel_decode_exhaustive_batch
-from marc_pnc.diversity import estimate_diversity, probability_window
+from marc_pnc.diversity import estimate_diversity
 from marc_pnc.montecarlo import SweepSpec, equivalence_battery, run_sweep
 from marc_pnc.netmap import modulo_latin
 from marc_pnc.numerics import complex_gaussian, philox_stream, qr_2x3
@@ -137,8 +137,7 @@ class TestCriterion3QrStructure:
 
 class TestCriterion4DiversityOrderTwo:
     def test_fitted_slope(self, acceptance_report, equal_fast_curve):
-        window = probability_window(equal_fast_curve, "sep_joint", (1e-6, 1e-3))
-        fit = estimate_diversity(equal_fast_curve, "sep_joint", window, min_events=50)
+        fit = estimate_diversity(equal_fast_curve, "sep_joint", (1e-6, 1e-3))
         ok = 1.7 <= fit.slope <= 2.3
         acceptance_report(
             "criterion 4: relay-error-aware decoder reaches diversity order two",
@@ -150,10 +149,8 @@ class TestCriterion4DiversityOrderTwo:
 
 class TestCriterion5NaiveDecoderDiversityLoss:
     def test_fitted_slope_below_aware_decoder(self, acceptance_report, equal_fast_curve, equal_naive_curve):
-        window = probability_window(equal_naive_curve, "sep_joint", (1e-6, 1e-3))
-        naive_fit = estimate_diversity(equal_naive_curve, "sep_joint", window, min_events=50)
-        aware_window = probability_window(equal_fast_curve, "sep_joint", (1e-6, 1e-3))
-        aware_fit = estimate_diversity(equal_fast_curve, "sep_joint", aware_window, min_events=50)
+        naive_fit = estimate_diversity(equal_naive_curve, "sep_joint", (1e-6, 1e-3))
+        aware_fit = estimate_diversity(equal_fast_curve, "sep_joint", (1e-6, 1e-3))
         ok = 0.7 <= naive_fit.slope <= 1.3 and naive_fit.slope < aware_fit.slope
         acceptance_report(
             "criterion 5: blind minimum-distance decoding loses a diversity order",
@@ -165,12 +162,9 @@ class TestCriterion5NaiveDecoderDiversityLoss:
 
 class TestCriterion6ConditionalOrders:
     def test_conditional_slopes(self, acceptance_report, equal_fast_curve):
-        rc_window = probability_window(equal_fast_curve, "p_err_rc", (1e-6, 1e-3))
-        rc = estimate_diversity(equal_fast_curve, "p_err_rc", rc_window, min_events=50)
-        rw_window = probability_window(equal_fast_curve, "p_err_rw", (1e-3, 0.2))
-        rw = estimate_diversity(equal_fast_curve, "p_err_rw", rw_window, min_events=50)
-        relay_window = probability_window(equal_fast_curve, "p_relay_err", (1e-3, 0.2))
-        relay = estimate_diversity(equal_fast_curve, "p_relay_err", relay_window, min_events=50)
+        rc = estimate_diversity(equal_fast_curve, "p_err_rc", (1e-6, 1e-3))
+        rw = estimate_diversity(equal_fast_curve, "p_err_rw", (1e-3, 0.2))
+        relay = estimate_diversity(equal_fast_curve, "p_relay_err", (1e-3, 0.2))
         ok = 1.7 <= rc.slope <= 2.3 and 0.6 <= rw.slope <= 1.4 and 0.7 <= relay.slope <= 1.3
         acceptance_report(
             "criterion 6: conditional error orders (relay right: 2, relay wrong: 1, relay-error rate: 1)",

@@ -4,11 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from marc_pnc.cfnc import (
-    DEFAULT_THETA,
-    check_cfnc_uniqueness,
-    make_cfnc_config,
-)
+from marc_pnc.cfnc import DEFAULT_THETA, make_cfnc_config
 from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS, sample_channel
 from marc_pnc.destination import joint_min_distance
 from marc_pnc.montecarlo import BatchDraws, SweepSpec, draw_batch, transmit
@@ -30,27 +26,38 @@ def relay_and_decode(d: BatchDraws, k):
     return rx, da, db
 
 
+def accepts(pts, theta) -> bool:
+    """True if make_cfnc_config returns for theta on pts, False if it
+    rejects theta for collapsing distinct pairs."""
+    try:
+        make_cfnc_config(pts, theta)
+    except ValueError as exc:
+        assert "collapses distinct pairs" in str(exc)
+        return False
+    return True
+
+
 class TestUniqueness:
     def test_default_theta_on_qpsk(self):
-        assert check_cfnc_uniqueness(S4, DEFAULT_THETA)
+        assert accepts(S4, DEFAULT_THETA)
         # brute-force confirmation
         sums = [xa + DEFAULT_THETA * xb for xa in S4.tolist() for xb in S4.tolist()]
         assert all(abs(sums[i] - sums[j]) > 1e-9 for i in range(16) for j in range(16) if i != j)
 
     def test_theta_one_collides(self):
         # (1, -1) and (-1, 1) both combine to 0
-        assert not check_cfnc_uniqueness(S4, 1.0 + 0.0j)
+        assert not accepts(S4, 1.0 + 0.0j)
 
     def test_bpsk_with_imaginary_theta(self):
-        assert check_cfnc_uniqueness(make_psk(2), 1j)
+        assert accepts(make_psk(2), 1j)
 
     def test_8psk_needs_off_lattice_theta(self):
         # the default coefficient is an 8th root of unity: on 8-PSK the
         # rotation maps the constellation to itself and pairs collide
         s8 = make_psk(8)
-        assert not check_cfnc_uniqueness(s8, DEFAULT_THETA)
+        assert not accepts(s8, DEFAULT_THETA)
         half_step = complex(math.cos(math.pi / 8), math.sin(math.pi / 8))
-        assert check_cfnc_uniqueness(s8, half_step)
+        assert accepts(s8, half_step)
 
     def test_make_config_rejects_collisions(self):
         with pytest.raises(ValueError, match="collapses"):
@@ -82,7 +89,7 @@ class TestUniqueness:
         sums = [xa + theta * xb for xa in pts.tolist() for xb in pts.tolist()]
         pairwise = all(abs(sums[i] - sums[j]) > 1e-9 for i in range(m * m) for j in range(i + 1, m * m))
         assert pairwise == distinct
-        assert check_cfnc_uniqueness(pts, theta) == distinct
+        assert accepts(pts, theta) == distinct
 
 
 class TestRelayConstellation:
