@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import complex_gaussian
+from .numerics import complex_gaussians
 from .scheme import SchemeConstants
 
 
@@ -64,9 +65,9 @@ PROFILE_PRESETS: dict[str, FadingProfile] = {
 }
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One frame's fade coefficients."""
+class ChannelRealization(NamedTuple):
+    """One frame's fade coefficients (a tuple, which is cheaper to build per
+    frame than a frozen dataclass)."""
 
     h_ar: complex
     h_br: complex
@@ -77,14 +78,9 @@ class ChannelRealization:
 
 def sample_channel(gen: np.random.Generator, p: FadingProfile) -> ChannelRealization:
     """Draw five independent CN(0, var) coefficients from ``gen``, in field
-    order, each one scalar ``complex_gaussian`` draw."""
-    return ChannelRealization(
-        h_ar=complex_gaussian(gen, p.var_ar),
-        h_br=complex_gaussian(gen, p.var_br),
-        h_ad=complex_gaussian(gen, p.var_ad),
-        h_bd=complex_gaussian(gen, p.var_bd),
-        h_rd=complex_gaussian(gen, p.var_rd),
-    )
+    order, from its next ten uniforms (one ``complex_gaussians`` group): the
+    same bits as five one-sample ``complex_gaussian`` draws in turn."""
+    return ChannelRealization(*complex_gaussians(gen, (p.var_ar, p.var_br, p.var_ad, p.var_bd, p.var_rd)))
 
 
 def phase1(

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from .channel import PROFILE_PRESETS
-from .diversity import InsufficientDataError, estimate_diversity
+from .diversity import ASYMPTOTIC_BAND, InsufficientDataError, estimate_diversity
 from .montecarlo import DECODERS, MAP_KINDS, SepCurve, SweepSpec, equivalence_battery, run_sweep, thread_count
 from .netmap import modulo_latin, xor_latin
 from .scheme import design_checks
@@ -206,7 +206,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 f"measured gain {s_cfnc - s_pnc:.2f} dB"
             )
     try:
-        fit = estimate_diversity(curves["fast"], "sep_joint", (1e-7, 1e-2))
+        fit = estimate_diversity(curves["fast"], "sep_joint", ASYMPTOTIC_BAND)
         print(f"fitted diversity order (network-coded scheme): {fit.slope:.2f} over {fit.fit_window_db} dB")
     except InsufficientDataError as exc:  # too few points on quick grids
         print(f"diversity fit skipped: {exc}")

@@ -134,10 +134,6 @@ def metric_m4(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, xa: complex, xb: com
     return _sq(res1) + _sq(res2) + math.log(k.es)
 
 
-def _pairs(zs) -> list[tuple[float, float]]:
-    return [(z.real, z.imag) for z in zs]
-
-
 def novel_decode_exhaustive(
     y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation
 ) -> tuple[int, int, bool]:
@@ -158,14 +154,28 @@ def novel_decode_exhaustive(
     those of ``metric_m1``/``metric_m2``, associated the same way: each
     residual is (y - a_term) - b_term (- relay_term), with y - a_term
     taken once per x_A, and the real and imaginary parts are subtracted
-    and squared separately, as complex subtraction and ``_sq`` do.
+    and squared separately, as complex subtraction and ``_sq`` do.  The
+    terms are ``_phase_terms``' products, built in one pass over the
+    source points and one over the relay's symbols.
     """
     _require_unit_snr(k)
     ln_es = math.log(k.es)
-    a1, b1, a2, b2, r2 = _phase_terms(h_ad, h_bd, h_rd, k, pts, constellation)
-    u1 = _pairs(y1 - z for z in a1)
-    u2 = _pairs(y2 - z for z in a2)
-    rel = _pairs(r2)
+    # _phase_terms' products associate as (h * root_es) * constant.
+    root_es = math.sqrt(k.es)
+    had = h_ad * root_es
+    hbd = h_bd * root_es
+    ga1, ga2, gb1, gb2 = had * k.a, had * k.c, hbd * k.b, hbd * k.d
+    gr = h_rd * root_es
+    u = []  # per x_A: y1 - a1_term and y2 - a2_term, as (re, im, re, im)
+    tb = []  # per x_B: its phase-1 and phase-2 terms, likewise
+    for p in pts:
+        u1 = y1 - ga1 * p
+        u2 = y2 - ga2 * p
+        t1 = gb1 * p
+        t2 = gb2 * p
+        u.append((u1.real, u1.imag, u2.real, u2.imag))
+        tb.append((t1.real, t1.imag, t2.real, t2.imag))
+    rel = [(t.real, t.imag) for t in [gr * p for p in constellation]]
     # Per relay symbol f: its term, and every other symbol's in ascending order.
     relay = [(rr, ri, rel[:f] + rel[f + 1 :]) for f, (rr, ri) in enumerate(rel)]
 
@@ -174,12 +184,10 @@ def novel_decode_exhaustive(
     # branch comparison.
     best_m = math.inf
     pick = (0, 0, False)
-    for ib, (tb1, tb2, col) in enumerate(zip(b1, b2, zip(*code), strict=True)):
-        b1r, b1i = tb1.real, tb1.imag
-        b2r, b2i = tb2.real, tb2.imag
+    for ib, ((b1r, b1i, b2r, b2i), col) in enumerate(zip(tb, zip(*code), strict=True)):
         best1 = best3 = math.inf
         arg1 = arg3 = 0
-        for ia, ((u1r, u1i), (u2r, u2i), fidx) in enumerate(zip(u1, u2, col, strict=True)):
+        for ia, ((u1r, u1i, u2r, u2i), fidx) in enumerate(zip(u, col, strict=True)):
             dr = u1r - b1r
             di = u1i - b1i
             p1 = dr * dr + di * di

@@ -23,6 +23,12 @@ from .montecarlo import PROBABILITY_EVENTS, SepCurve
 #: Minimum error events per point for a statistically usable estimate.
 MIN_EVENTS = 50
 MIN_POINTS = 3
+#: The SEP band of the high-SNR claims (diversity order two for the aware
+#: decoders, one for blind decoding).  Above 1e-3 the aware curves are
+#: further from their asymptotic slope; below 1e-6 a point needs more than
+#: 5e7 frames for MIN_EVENTS events.  The acceptance criteria and
+#: ``marc-pnc reproduce`` fit this one band.
+ASYMPTOTIC_BAND = (1e-6, 1e-3)
 
 
 class InsufficientDataError(ValueError):

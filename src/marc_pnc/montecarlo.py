@@ -18,7 +18,10 @@ the chunk size.
 
 ``equivalence_battery`` holds the fast decoder against the scalar
 exhaustive reference on one-point ``fast`` specs, one per (SNR, profile)
-cell, with half of the frames forced to a wrong relay symbol.
+cell, with half of the frames forced to a wrong relay symbol.  It draws
+and relays each frame with scalar calls, its fades and its noise each from
+one generator call, and decodes the three cells of an SNR point with one
+batch ``fast_decode`` call.
 
 The symbol error probability reported as ``sep_joint`` is the joint pair
 error P{decoded pair != transmitted pair}; per-user rates are recorded
@@ -57,7 +60,7 @@ from .destination import (
     role_swap,
 )
 from .netmap import LATIN_MAPS, MAP_KINDS
-from .numerics import complex_gaussian, philox_stream
+from .numerics import complex_gaussian, complex_gaussians, philox_stream
 from .relay import relay_ml_decode, relay_ml_decode_batch
 from .scheme import EXAMPLE1_ABCD, SchemeConstants
 
@@ -413,6 +416,8 @@ class EquivalenceReport:
 
 #: Share of each battery cell's frames whose relay forwards a wrong symbol.
 FORCED_ERROR_FRACTION = 0.5
+#: Variances of a battery frame's three noise samples: z_r, z_d1, z_d2.
+NOISE_VARIANCES = (1.0, 1.0, 1.0)
 
 
 def equivalence_battery(
@@ -431,12 +436,14 @@ def equivalence_battery(
     ``ValueError`` naming it; points need not ascend.
 
     Cell c draws and relays its frames one at a time from
-    ``philox_stream(seed, c)``: per frame two source indices, five fades,
-    three noise samples and one uniform that makes a
+    ``philox_stream(seed, c)``: per frame two source indices, five fades
+    (``sample_channel``, one generator call), three noise samples (one
+    ``complex_gaussians`` call) and one uniform that makes a
     ``FORCED_ERROR_FRACTION`` of the frames forward a uniformly random wrong
     network-coded symbol, so the relay-error branch is exercised at every
-    SNR.  One batch fast_decode call decodes the cell, and the scalar
-    exhaustive reference checks each frame.
+    SNR.  The cells of one SNR point share its scheme, so one batch
+    fast_decode call decodes all three, and the scalar exhaustive reference
+    then checks each frame, in cell order.
     """
     snr_points_db = tuple(snr_points_db)
     frames_per_cell = _integer("frames_per_cell", frames_per_cell)
@@ -444,46 +451,50 @@ def equivalence_battery(
         raise ValueError(f"frames_per_cell must be >= 1, got {frames_per_cell}")
     if not snr_points_db:
         raise ValueError("snr_points_db must not be empty")
-    cells = [
-        (pname, SweepSpec((snr_db,), frames_per_cell, profile, seed=seed))
+    groups = [  # per SNR point, its cell of each profile
+        {pname: SweepSpec((snr_db,), frames_per_cell, profile, seed=seed) for pname, profile in PROFILE_PRESETS.items()}
         for snr_db in snr_points_db
-        for pname, profile in PROFILE_PRESETS.items()
     ]
     frames = mismatches = 0
     first: str | None = None
 
-    for cell, (pname, spec) in enumerate(cells):
+    cell = 0
+    for group in groups:
+        # The cells differ only in their profile, which no scheme depends on.
+        spec = next(iter(group.values()))
         (snr_db,) = spec.snr_points_db
         k, pts, code, constellation = spec.scheme_at(snr_db)
         points, table, relayed = pts.tolist(), code.tolist(), constellation.tolist()
-        gen = philox_stream(spec.seed, cell)
+        n_wrong = len(relayed) - 1
         received = []  # per frame, what the destination sees: (y_d1, y_d2, h_ad, h_bd, h_rd)
-        for _ in range(frames_per_cell):
-            ia = int(gen.integers(0, spec.m))
-            ib = int(gen.integers(0, spec.m))
-            h = sample_channel(gen, spec.profile)
-            z_r = complex_gaussian(gen, 1.0)
-            z_d1 = complex_gaussian(gen, 1.0)
-            z_d2 = complex_gaussian(gen, 1.0)
-            force = gen.random() < FORCED_ERROR_FRACTION
-            xa, xb = points[ia], points[ib]
-            y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
-            if force:
-                true_nc = table[ia][ib]
-                wrong = int(gen.integers(0, len(constellation) - 1))
-                x_r = relayed[wrong if wrong < true_nc else wrong + 1]
-            else:
-                ra, rb = relay_ml_decode(y_r, h.h_ar, h.h_br, k, points)
-                x_r = relayed[table[ra][rb]]
-            y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
-            received.append((y_d1, y_d2, h.h_ad, h.h_bd, h.h_rd))
+        for spec in group.values():
+            gen = philox_stream(spec.seed, cell)
+            cell += 1
+            for _ in range(frames_per_cell):
+                ia = int(gen.integers(0, spec.m))
+                ib = int(gen.integers(0, spec.m))
+                h = sample_channel(gen, spec.profile)
+                z_r, z_d1, z_d2 = complex_gaussians(gen, NOISE_VARIANCES)
+                force = gen.random() < FORCED_ERROR_FRACTION
+                xa, xb = points[ia], points[ib]
+                y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
+                if force:
+                    true_nc = table[ia][ib]
+                    wrong = int(gen.integers(0, n_wrong))
+                    x_r = relayed[wrong if wrong < true_nc else wrong + 1]
+                else:
+                    ra, rb = relay_ml_decode(y_r, h.h_ar, h.h_br, k, points)
+                    x_r = relayed[table[ra][rb]]
+                y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
+                received.append((y_d1, y_d2, h.h_ad, h.h_bd, h.h_rd))
         columns = (np.array(column, dtype=np.complex128) for column in zip(*received))
         fa, fb, fcorrect = fast_decode(*columns, k, pts, code, constellation)
-        for frame, got in zip(received, zip(fa.tolist(), fb.tolist(), fcorrect.tolist())):
+        for i, (frame, got) in enumerate(zip(received, zip(fa.tolist(), fb.tolist(), fcorrect.tolist()))):
             ref = novel_decode_exhaustive(*frame, k, points, table, relayed)
             frames += 1
             if got != ref:
                 mismatches += 1
                 if first is None:
+                    pname = list(group)[i // frames_per_cell]
                     first = f"snr={snr_db} profile={pname} fast={got} ref={ref}"
     return EquivalenceReport(frames=frames, mismatches=mismatches, first_mismatch=first)

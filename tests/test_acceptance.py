@@ -14,7 +14,7 @@ import pytest
 from marc_pnc.channel import PROFILE_PRESETS, sample_channel
 from marc_pnc.cli import REFERENCE_GAIN_DB, snr_at_sep
 from marc_pnc.destination import fast_decode, novel_decode_exhaustive_batch
-from marc_pnc.diversity import estimate_diversity
+from marc_pnc.diversity import ASYMPTOTIC_BAND, estimate_diversity
 from marc_pnc.montecarlo import SweepSpec, equivalence_battery, run_sweep
 from marc_pnc.netmap import modulo_latin
 from marc_pnc.numerics import complex_gaussian, philox_stream, qr_2x3
@@ -137,7 +137,7 @@ class TestCriterion3QrStructure:
 
 class TestCriterion4DiversityOrderTwo:
     def test_fitted_slope(self, acceptance_report, equal_fast_curve):
-        fit = estimate_diversity(equal_fast_curve, "sep_joint", (1e-6, 1e-3))
+        fit = estimate_diversity(equal_fast_curve, "sep_joint", ASYMPTOTIC_BAND)
         ok = 1.7 <= fit.slope <= 2.3
         acceptance_report(
             "criterion 4: relay-error-aware decoder reaches diversity order two",
@@ -149,8 +149,8 @@ class TestCriterion4DiversityOrderTwo:
 
 class TestCriterion5NaiveDecoderDiversityLoss:
     def test_fitted_slope_below_aware_decoder(self, acceptance_report, equal_fast_curve, equal_naive_curve):
-        naive_fit = estimate_diversity(equal_naive_curve, "sep_joint", (1e-6, 1e-3))
-        aware_fit = estimate_diversity(equal_fast_curve, "sep_joint", (1e-6, 1e-3))
+        naive_fit = estimate_diversity(equal_naive_curve, "sep_joint", ASYMPTOTIC_BAND)
+        aware_fit = estimate_diversity(equal_fast_curve, "sep_joint", ASYMPTOTIC_BAND)
         ok = 0.7 <= naive_fit.slope <= 1.3 and naive_fit.slope < aware_fit.slope
         acceptance_report(
             "criterion 5: blind minimum-distance decoding loses a diversity order",
@@ -162,7 +162,7 @@ class TestCriterion5NaiveDecoderDiversityLoss:
 
 class TestCriterion6ConditionalOrders:
     def test_conditional_slopes(self, acceptance_report, equal_fast_curve):
-        rc = estimate_diversity(equal_fast_curve, "p_err_rc", (1e-6, 1e-3))
+        rc = estimate_diversity(equal_fast_curve, "p_err_rc", ASYMPTOTIC_BAND)
         rw = estimate_diversity(equal_fast_curve, "p_err_rw", (1e-3, 0.2))
         relay = estimate_diversity(equal_fast_curve, "p_relay_err", (1e-3, 0.2))
         ok = 1.7 <= rc.slope <= 2.3 and 0.6 <= rw.slope <= 1.4 and 0.7 <= relay.slope <= 1.3

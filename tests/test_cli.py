@@ -186,6 +186,22 @@ class TestReproduce:
         assert "reference high-SNR gain for this scenario: 3.3 dB" in out
         assert "measured gain" in out
 
+    def test_fit_line_uses_the_asymptotic_band(self, tmp_path, capsys, monkeypatch):
+        # SEP 5e-2 at 4 dB, falling a decade per 4 dB step (slope 2.5):
+        # only 12, 16 and 20 dB lie inside (1e-6, 1e-3).
+        def run_sweep(spec, threads=None, progress=None):
+            trials = 10**9
+            points = []
+            for i, snr_db in enumerate(spec.snr_points_db):
+                errors = 5 * 10 ** (7 - i)
+                points.append(SepPoint(snr_db, trials, errors, errors, errors, 0, errors, 0))
+            return SepCurve(spec=spec, points=tuple(points))
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        assert main(["reproduce", "equal", "--quick", "--outdir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("fitted diversity order (network-coded scheme): 2.50 over (12.0, 20.0) dB\n")
+
     def test_bad_threads_fail_before_the_outdir_is_made(self, tmp_path, capsys):
         outdir = tmp_path / "repro"
         assert main(["reproduce", "equal", "--quick", "--outdir", str(outdir), "--threads", "0"]) == 2

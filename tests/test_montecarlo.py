@@ -284,18 +284,40 @@ class TestEquivalenceBattery:
             montecarlo.equivalence_battery(**kwargs)
 
     def test_a_disagreement_is_counted(self, monkeypatch):
-        def flip_frame_0(*args):
+        def flip_frame_0_of_each_cell(*args):
+            # the three cells of an SNR point share one call, 20 frames each
             a, b, correct = fast_decode(*args)
             correct = correct.copy()
-            correct[0] = not correct[0]
+            correct[::20] = ~correct[::20]
             return a, b, correct
 
-        monkeypatch.setattr(montecarlo, "fast_decode", flip_frame_0)
+        monkeypatch.setattr(montecarlo, "fast_decode", flip_frame_0_of_each_cell)
         report = montecarlo.equivalence_battery(snr_points_db=(10.0,), frames_per_cell=20)
         first_profile = next(iter(PROFILE_PRESETS))
         assert report.frames == 20 * len(PROFILE_PRESETS) == 60
         assert report.mismatches == 3  # frame 0 of each profile's cell
         assert report.first_mismatch.startswith(f"snr=10.0 profile={first_profile} ")
+
+    def test_one_decode_call_per_snr_point_names_the_flipped_frame(self, monkeypatch):
+        # Each call holds the three profile cells of one SNR point, in
+        # PROFILE_PRESETS order; flip frame 5 of the middle cell at 10 dB.
+        calls = []
+
+        def flip_one(*args):
+            a, b, correct = fast_decode(*args)
+            calls.append((args[5].es, len(a)))
+            if len(calls) == 2:
+                correct = correct.copy()
+                correct[20 + 5] = not correct[20 + 5]
+            return a, b, correct
+
+        monkeypatch.setattr(montecarlo, "fast_decode", flip_one)
+        report = montecarlo.equivalence_battery(snr_points_db=(0.0, 10.0, 20.0), frames_per_cell=20)
+        middle = list(PROFILE_PRESETS)[1]
+        assert [n for _, n in calls] == [60, 60, 60]
+        assert [es for es, _ in calls] == pytest.approx([1.0, 10.0, 100.0])
+        assert (report.frames, report.mismatches) == (180, 1)
+        assert report.first_mismatch.startswith(f"snr=10.0 profile={middle} ")
 
 
 def record_batches(monkeypatch, errors_at=()):
