@@ -7,14 +7,7 @@ Monte Carlo engine for symbol-error and diversity-order measurements.
 __version__ = "0.1.0"
 
 from .cfnc import make_cfnc_config
-from .channel import (
-    PROFILE_PRESETS,
-    ChannelRealization,
-    FadingProfile,
-    phase1,
-    phase2,
-    sample_channel,
-)
+from .channel import PROFILE_PRESETS, ChannelRealization, FadingProfile, sample_channel
 from .destination import (
     HrOrthogonalityError,
     fast_decode,

@@ -2,11 +2,11 @@
 
 One channel realization (five independent complex-Gaussian fade
 coefficients) holds for the whole two-phase frame.  ``sample_channel``
-draws a realization from a generator its caller passes (a
-``numerics.philox_stream``), and noise samples are passed in explicitly
-rather than drawn here, so decoder tests can replay exact frames; every
-stream is chosen by the Monte Carlo engine or the test.  Additive noise
-variance is fixed at 1 and SNR is varied through the transmit energy alone.
+draws the realizations of a batch of frames from a generator its caller
+passes (a ``numerics.philox_stream``); every stream is chosen by the Monte
+Carlo engine or the test, and the engine's ``transmit`` is the one model of
+the two phases.  Additive noise variance is fixed at 1 and SNR is varied
+through the transmit energy alone.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import complex_gaussians
-from .scheme import SchemeConstants
+from .numerics import complex_gaussian
 
 
 def db_to_linear(db: float) -> float:
@@ -66,48 +65,17 @@ PROFILE_PRESETS: dict[str, FadingProfile] = {
 
 
 class ChannelRealization(NamedTuple):
-    """One frame's fade coefficients (a tuple, which is cheaper to build per
-    frame than a frozen dataclass)."""
+    """The fade coefficients of a run of frames, one entry per frame."""
 
-    h_ar: complex
-    h_br: complex
-    h_ad: complex
-    h_bd: complex
-    h_rd: complex
-
-
-def sample_channel(gen: np.random.Generator, p: FadingProfile) -> ChannelRealization:
-    """Draw five independent CN(0, var) coefficients from ``gen``, in field
-    order, from its next ten uniforms (one ``complex_gaussians`` group): the
-    same bits as five one-sample ``complex_gaussian`` draws in turn."""
-    return ChannelRealization(*complex_gaussians(gen, (p.var_ar, p.var_br, p.var_ad, p.var_bd, p.var_rd)))
+    h_ar: np.ndarray
+    h_br: np.ndarray
+    h_ad: np.ndarray
+    h_bd: np.ndarray
+    h_rd: np.ndarray
 
 
-def phase1(
-    k: SchemeConstants,
-    h: ChannelRealization,
-    xa: complex,
-    xb: complex,
-    z_r: complex,
-    z_d1: complex,
-) -> tuple[complex, complex]:
-    """Received samples at the relay and the destination while both sources
-    transmit their first-phase scalings."""
-    root_es = math.sqrt(k.es)
-    y_r = h.h_ar * root_es * k.a * xa + h.h_br * root_es * k.b * xb + z_r
-    y_d1 = h.h_ad * root_es * k.a * xa + h.h_bd * root_es * k.b * xb + z_d1
-    return y_r, y_d1
-
-
-def phase2(
-    k: SchemeConstants,
-    h: ChannelRealization,
-    xa: complex,
-    xb: complex,
-    xr: complex,
-    z_d2: complex,
-) -> complex:
-    """Received sample at the destination while the sources re-transmit with
-    their second-phase scalings and the relay sends its symbol."""
-    root_es = math.sqrt(k.es)
-    return h.h_ad * root_es * k.c * xa + h.h_bd * root_es * k.d * xb + h.h_rd * root_es * xr + z_d2
+def sample_channel(gen: np.random.Generator, p: FadingProfile, n: int) -> ChannelRealization:
+    """Draw ``n`` frames' five independent CN(0, var) coefficients from
+    ``gen``, one ``complex_gaussian`` batch per link, in field order."""
+    variances = (p.var_ar, p.var_br, p.var_ad, p.var_bd, p.var_rd)
+    return ChannelRealization(*(complex_gaussian(gen, v, n) for v in variances))

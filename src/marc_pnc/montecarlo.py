@@ -18,10 +18,10 @@ the chunk size.
 
 ``equivalence_battery`` holds the fast decoder against the scalar
 exhaustive reference on one-point ``fast`` specs, one per (SNR, profile)
-cell, with half of the frames forced to a wrong relay symbol.  It draws
-and relays each frame with scalar calls, its fades and its noise each from
-one generator call, and decodes the three cells of an SNR point with one
-batch ``fast_decode`` call.
+cell, with half of the frames forced to a wrong relay symbol.  Each cell's
+frames come from ``draw_batch`` and ``transmit``, the sweeps' own frame
+source, and the three cells of an SNR point are decoded by one batch
+``fast_decode`` call.
 
 The symbol error probability reported as ``sep_joint`` is the joint pair
 error P{decoded pair != transmitted pair}; per-user rates are recorded
@@ -44,14 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cfnc import DEFAULT_THETA, make_cfnc_config
-from .channel import (
-    PROFILE_PRESETS,
-    FadingProfile,
-    db_to_linear,
-    phase1,
-    phase2,
-    sample_channel,
-)
+from .channel import PROFILE_PRESETS, FadingProfile, db_to_linear, sample_channel
 from .destination import (
     fast_decode,
     joint_min_distance,
@@ -60,8 +53,8 @@ from .destination import (
     role_swap,
 )
 from .netmap import LATIN_MAPS, MAP_KINDS
-from .numerics import complex_gaussian, complex_gaussians, philox_stream
-from .relay import relay_ml_decode, relay_ml_decode_batch
+from .numerics import complex_gaussian, philox_stream
+from .relay import relay_ml_decode
 from .scheme import EXAMPLE1_ABCD, SchemeConstants
 
 # Not called here: kept as module attributes because the benchmark's trace
@@ -269,18 +262,13 @@ class BatchDraws:
 
 
 def draw_batch(gen: np.random.Generator, profile: FadingProfile, m: int, n: int) -> BatchDraws:
-    return BatchDraws(
-        ia=gen.integers(0, m, size=n),
-        ib=gen.integers(0, m, size=n),
-        h_ar=complex_gaussian(gen, profile.var_ar, n),
-        h_br=complex_gaussian(gen, profile.var_br, n),
-        h_ad=complex_gaussian(gen, profile.var_ad, n),
-        h_bd=complex_gaussian(gen, profile.var_bd, n),
-        h_rd=complex_gaussian(gen, profile.var_rd, n),
-        z_r=complex_gaussian(gen, 1.0, n),
-        z_d1=complex_gaussian(gen, 1.0, n),
-        z_d2=complex_gaussian(gen, 1.0, n),
-    )
+    """``n`` frames' random inputs, in stream order: both source indices,
+    the five fades (``sample_channel``), then the three unit-variance noise
+    samples."""
+    ia = gen.integers(0, m, size=n)
+    ib = gen.integers(0, m, size=n)
+    h = sample_channel(gen, profile, n)
+    return BatchDraws(ia, ib, *h, *(complex_gaussian(gen, 1.0, n) for _ in range(3)))
 
 
 class Received(NamedTuple):
@@ -305,7 +293,7 @@ def transmit(d: BatchDraws, k: SchemeConstants, pts, code, constellation) -> Rec
     xb = pts[d.ib]
     y_r = d.h_ar * (root * k.a) * xa + d.h_br * (root * k.b) * xb + d.z_r
     y_d1 = d.h_ad * (root * k.a) * xa + d.h_bd * (root * k.b) * xb + d.z_d1
-    ra, rb = relay_ml_decode_batch(y_r, d.h_ar, d.h_br, k, pts)
+    ra, rb = relay_ml_decode(y_r, d.h_ar, d.h_br, k, pts)
     # code[ra, rb] is gathered twice on purpose: a named copy held through
     # phase 2 shifted the heap layout and raised a sweep's peak RSS by ~4 MB.
     x_r = constellation[code[ra, rb]]
@@ -416,8 +404,6 @@ class EquivalenceReport:
 
 #: Share of each battery cell's frames whose relay forwards a wrong symbol.
 FORCED_ERROR_FRACTION = 0.5
-#: Variances of a battery frame's three noise samples: z_r, z_d1, z_d2.
-NOISE_VARIANCES = (1.0, 1.0, 1.0)
 
 
 def equivalence_battery(
@@ -435,15 +421,15 @@ def equivalence_battery(
     all cells are built before anything is drawn, so a bad argument raises
     ``ValueError`` naming it; points need not ascend.
 
-    Cell c draws and relays its frames one at a time from
-    ``philox_stream(seed, c)``: per frame two source indices, five fades
-    (``sample_channel``, one generator call), three noise samples (one
-    ``complex_gaussians`` call) and one uniform that makes a
-    ``FORCED_ERROR_FRACTION`` of the frames forward a uniformly random wrong
-    network-coded symbol, so the relay-error branch is exercised at every
-    SNR.  The cells of one SNR point share its scheme, so one batch
-    fast_decode call decodes all three, and the scalar exhaustive reference
-    then checks each frame, in cell order.
+    Cell c draws its frames with one ``draw_batch`` call on
+    ``philox_stream(seed, c)`` and relays them with ``transmit``.  It then
+    draws, from the same stream, a force flag per frame and a wrong-symbol
+    index per frame: a ``FORCED_ERROR_FRACTION`` of the frames move onto a
+    uniformly random wrong network-coded symbol, by adding
+    ``h_rd * sqrt(es) * (x_forced - x_r)`` to ``y_d2``, so the relay-error
+    branch is exercised at every SNR.  The cells of one SNR point share its
+    scheme, so one batch fast_decode call decodes all three, and the scalar
+    exhaustive reference then checks each frame, in cell order.
     """
     snr_points_db = tuple(snr_points_db)
     frames_per_cell = _integer("frames_per_cell", frames_per_cell)
@@ -463,38 +449,30 @@ def equivalence_battery(
         # The cells differ only in their profile, which no scheme depends on.
         spec = next(iter(group.values()))
         (snr_db,) = spec.snr_points_db
-        k, pts, code, constellation = spec.scheme_at(snr_db)
-        points, table, relayed = pts.tolist(), code.tolist(), constellation.tolist()
-        n_wrong = len(relayed) - 1
-        received = []  # per frame, what the destination sees: (y_d1, y_d2, h_ad, h_bd, h_rd)
+        scheme = k, pts, code, constellation = spec.scheme_at(snr_db)
+        root = math.sqrt(k.es)
+        received = []  # per cell, what the destination sees: (y_d1, y_d2, h_ad, h_bd, h_rd)
         for spec in group.values():
             gen = philox_stream(spec.seed, cell)
             cell += 1
-            for _ in range(frames_per_cell):
-                ia = int(gen.integers(0, spec.m))
-                ib = int(gen.integers(0, spec.m))
-                h = sample_channel(gen, spec.profile)
-                z_r, z_d1, z_d2 = complex_gaussians(gen, NOISE_VARIANCES)
-                force = gen.random() < FORCED_ERROR_FRACTION
-                xa, xb = points[ia], points[ib]
-                y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
-                if force:
-                    true_nc = table[ia][ib]
-                    wrong = int(gen.integers(0, n_wrong))
-                    x_r = relayed[wrong if wrong < true_nc else wrong + 1]
-                else:
-                    ra, rb = relay_ml_decode(y_r, h.h_ar, h.h_br, k, points)
-                    x_r = relayed[table[ra][rb]]
-                y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
-                received.append((y_d1, y_d2, h.h_ad, h.h_bd, h.h_rd))
-        columns = (np.array(column, dtype=np.complex128) for column in zip(*received))
-        fa, fb, fcorrect = fast_decode(*columns, k, pts, code, constellation)
-        for i, (frame, got) in enumerate(zip(received, zip(fa.tolist(), fb.tolist(), fcorrect.tolist()))):
+            d = draw_batch(gen, spec.profile, spec.m, frames_per_cell)
+            rx = transmit(d, *scheme)
+            force = gen.random(frames_per_cell) < FORCED_ERROR_FRACTION
+            wrong = gen.integers(0, len(constellation) - 1, size=frames_per_cell)[force]
+            forced_nc = wrong + (wrong >= code[d.ia[force], d.ib[force]])
+            x_r = constellation[code[rx.relay_a[force], rx.relay_b[force]]]
+            rx.y_d2[force] += d.h_rd[force] * root * (constellation[forced_nc] - x_r)
+            received.append((rx.y_d1, rx.y_d2, d.h_ad, d.h_bd, d.h_rd))
+        columns = [np.concatenate(column) for column in zip(*received)]
+        fa, fb, fcorrect = fast_decode(*columns, *scheme)
+        points, table, relayed = pts.tolist(), code.tolist(), constellation.tolist()
+        decided = zip(fa.tolist(), fb.tolist(), fcorrect.tolist())
+        for i, (frame, got) in enumerate(zip(zip(*(column.tolist() for column in columns)), decided)):
             ref = novel_decode_exhaustive(*frame, k, points, table, relayed)
-            frames += 1
             if got != ref:
                 mismatches += 1
                 if first is None:
                     pname = list(group)[i // frames_per_cell]
                     first = f"snr={snr_db} profile={pname} fast={got} ref={ref}"
+        frames += len(fa)
     return EquivalenceReport(frames=frames, mismatches=mismatches, first_mismatch=first)

@@ -15,15 +15,11 @@ lexicographically first pair over a sequence of blocks.
 Randomness is counter-based: ``philox_stream(seed, stream)`` is a numpy
 Generator fully determined by the pair of integers, so concurrent workers
 can draw from disjoint streams and any trial can be replayed in isolation.
-``complex_gaussian`` draws from one, a sample or a batch at a time, with the
-same bits either way; ``complex_gaussians`` draws a group of samples of
-given variances with one generator call.
+``complex_gaussian`` draws a batch of samples from one.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -131,45 +127,25 @@ def qr_2x3(h11, h21, h12, h22, h23, y1, y2) -> QrRotation:
     )
 
 
-def complex_gaussian(gen: np.random.Generator, sigma2: float, size: int | None = None):
-    """Circularly symmetric complex Gaussian CN(0, sigma2) via Box-Muller.
+def complex_gaussian(gen: np.random.Generator, sigma2: float, size: int) -> np.ndarray:
+    """``size`` circularly symmetric complex Gaussian CN(0, sigma2) samples
+    via Box-Muller.
 
     Uses the polar form: |z|^2 is Exp(sigma2) and the phase is uniform, so
     each sample consumes exactly two uniforms u0, u1 and is
 
         z = sqrt(-sigma2 * log1p(-u0)) * exp(2j * pi * u1).
 
-    Real and imaginary parts come out independent N(0, sigma2/2).
-
-    ``size=None`` returns one Python complex, the one-sample case of
-    ``complex_gaussians``; otherwise an array of ``size`` samples.  The two
-    paths consume the stream alike and give the same bits.
+    Real and imaginary parts come out independent N(0, sigma2/2).  Sample i
+    takes uniforms 2i and 2i + 1 of one ``gen.random(2 * size)`` call, so
+    consecutive calls consume the stream as one call for all their samples
+    would.
     """
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    if size is None:
-        return complex_gaussians(gen, (sigma2,))[0]
     u = gen.random(2 * size).reshape(size, 2)
     radius = np.sqrt(-sigma2 * np.log1p(-u[:, 0]))
     return radius * np.exp(2j * np.pi * u[:, 1])
-
-
-def complex_gaussians(gen: np.random.Generator, variances) -> list[complex]:
-    """One Python complex CN(0, v) per variance v, in order, from one
-    ``gen.random(2 * len(variances))`` call: sample i takes uniforms 2i and
-    2i + 1, so the group consumes the stream as one-sample draws in turn
-    do and gives the same bits.  The variances are not checked; a
-    ``FadingProfile`` checks its own.
-
-    Each sample is worked on Python floats, which costs less than numpy
-    calls on a few elements, but takes ``log1p`` from numpy: numpy's SIMD
-    ``log1p`` differs from libm's ``math.log1p`` in the last bit on about
-    7% of uniforms (on an AVX-512 x86-64 host), and the batch path uses
-    numpy's.  ``math.sqrt`` is exactly rounded, and ``cmath.exp`` agrees
-    with numpy's complex ``exp``.
-    """
-    u = iter(gen.random(2 * len(variances)).tolist())
-    return [math.sqrt(-v * float(np.log1p(-u0))) * cmath.exp(2j * np.pi * u1) for v, u0, u1 in zip(variances, u, u)]
 
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:

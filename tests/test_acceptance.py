@@ -11,16 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from marc_pnc.channel import PROFILE_PRESETS, sample_channel
+from marc_pnc.channel import PROFILE_PRESETS
 from marc_pnc.cli import REFERENCE_GAIN_DB, snr_at_sep
 from marc_pnc.destination import fast_decode, novel_decode_exhaustive_batch
 from marc_pnc.diversity import ASYMPTOTIC_BAND, estimate_diversity
 from marc_pnc.montecarlo import SweepSpec, equivalence_battery, run_sweep
 from marc_pnc.netmap import modulo_latin
-from marc_pnc.numerics import complex_gaussian, philox_stream, qr_2x3
+from marc_pnc.numerics import philox_stream, qr_2x3
 from marc_pnc.scheme import design_checks, example1_constants
 from marc_pnc.signalset import make_psk
 from marc_pnc.sweepio import curve_to_csv
+from oracles import one_channel, one_gaussian
 
 EQUAL = PROFILE_PRESETS["equal"]
 
@@ -111,7 +112,7 @@ class TestCriterion3QrStructure:
     def test_structural_zeros_on_random_channels(self, acceptance_report):
         k = example1_constants(1.0)
         rng = philox_stream(20_403, 0)
-        hs = [sample_channel(rng, PROFILE_PRESETS[("equal", "sr-strong", "rd-strong")[i % 3]]) for i in range(10_000)]
+        hs = [one_channel(rng, PROFILE_PRESETS[("equal", "sr-strong", "rd-strong")[i % 3]]) for i in range(10_000)]
         h_ad, h_bd, h_rd = (np.array([getattr(h, name) for h in hs]) for name in ("h_ad", "h_bd", "h_rd"))
         heq = np.stack([
             np.stack([k.a * h_ad, k.b * h_bd, np.zeros_like(h_ad)], -1),
@@ -215,8 +216,8 @@ class TestCriterion8ComplexityScaling:
             fast_n = exh_n = 0
             frames = 25
             for _ in range(frames):
-                h = sample_channel(rng, EQUAL)
-                frame = (complex_gaussian(rng, 2.0), complex_gaussian(rng, 2.0), h.h_ad, h.h_bd, h.h_rd, k, pts, cells, pts)
+                h = one_channel(rng, EQUAL)
+                frame = (one_gaussian(rng, 2.0), one_gaussian(rng, 2.0), h.h_ad, h.h_bd, h.h_rd, k, pts, cells, pts)
                 fast_n += scored_metrics(fast_decode, *frame)
                 exh_n += scored_metrics(novel_decode_exhaustive_batch, *frame)
             counts[m] = (fast_n / frames, exh_n / frames)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from marc_pnc.cfnc import DEFAULT_THETA, make_cfnc_config
-from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS, sample_channel
+from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS
 from marc_pnc.destination import joint_min_distance
 from marc_pnc.montecarlo import BatchDraws, SweepSpec, draw_batch, transmit
-from marc_pnc.numerics import complex_gaussian, philox_stream
+from marc_pnc.numerics import philox_stream
 from marc_pnc.scheme import example1_constants
 from marc_pnc.signalset import make_psk
+from oracles import one_channel, one_gaussian
 
 S4 = make_psk(4)
 #: The 4-PSK baseline with the default coefficient, as sweeps run it: the
@@ -140,9 +141,9 @@ class TestCfncFrames:
         rng = philox_stream(300, 0)
         frames = []
         for _ in range(1000):
-            h = sample_channel(rng, PROFILE_PRESETS["equal"])
-            y_d1 = complex_gaussian(rng, 4.0)
-            y_d2 = complex_gaussian(rng, 4.0)
+            h = one_channel(rng, PROFILE_PRESETS["equal"])
+            y_d1 = one_gaussian(rng, 4.0)
+            y_d2 = one_gaussian(rng, 4.0)
             frames.append((y_d1, y_d2, h))
         columns = (np.array(c) for c in zip(*((y1, y2, h.h_ad, h.h_bd, h.h_rd) for y1, y2, h in frames)))
         da, db, _ = joint_min_distance(*columns, k, *CFNC4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from marc_pnc.cfnc import DEFAULT_THETA, make_cfnc_config
-from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS, phase1, phase2, sample_channel
+from marc_pnc.channel import ChannelRealization, PROFILE_PRESETS
 from marc_pnc.destination import (
     HrOrthogonalityError,
     fast_decode,
@@ -20,10 +20,10 @@ from marc_pnc.destination import (
     phi_metrics,
 )
 from marc_pnc.netmap import modulo_latin, xor_latin
-from marc_pnc.numerics import complex_gaussian, philox_stream, qr_2x3
-from marc_pnc.relay import relay_ml_decode
+from marc_pnc.numerics import philox_stream, qr_2x3
 from marc_pnc.scheme import SchemeConstants, example1_constants
 from marc_pnc.signalset import make_psk
+from oracles import one_channel, one_gaussian, phase1, phase2, scalar_relay_ml_decode
 
 INV = 1.0 / math.sqrt(2.0)
 S4 = make_psk(4).tolist()
@@ -69,10 +69,10 @@ def random_decode_input(rng: np.random.Generator, es: float, k=None, profile=Non
     profile = profile or PROFILE_PRESETS["equal"]
     ia = int(rng.integers(0, len(s)))
     ib = int(rng.integers(0, len(s)))
-    h = sample_channel(rng, profile)
-    z_r = complex_gaussian(rng, 1.0)
-    z_d1 = complex_gaussian(rng, 1.0)
-    z_d2 = complex_gaussian(rng, 1.0)
+    h = one_channel(rng, profile)
+    z_r = one_gaussian(rng, 1.0)
+    z_d1 = one_gaussian(rng, 1.0)
+    z_d2 = one_gaussian(rng, 1.0)
     xa, xb = s[ia], s[ib]
     y_r, y_d1 = phase1(k, h, xa, xb, z_r, z_d1)
     if force_relay_error:
@@ -81,7 +81,7 @@ def random_decode_input(rng: np.random.Generator, es: float, k=None, profile=Non
         x_r = s[nc]
         relay_pair = None
     else:
-        relay_pair = relay_ml_decode(y_r, h.h_ar, h.h_br, k, s)
+        relay_pair = scalar_relay_ml_decode(y_r, h.h_ar, h.h_br, k, s)
         x_r = s[f[relay_pair[0]][relay_pair[1]]]
     y_d2 = phase2(k, h, xa, xb, x_r, z_d2)
     return make_input(y_d1, y_d2, h, k, s, f), (ia, ib), relay_pair
@@ -467,8 +467,8 @@ class TestEvalCounts:
         f = modulo_latin(m).tolist()
         k = example1_constants(10.0)
         rng = philox_stream(118, m)
-        h = sample_channel(rng, PROFILE_PRESETS["equal"])
-        inp = make_input(complex_gaussian(rng, 1.0), complex_gaussian(rng, 1.0), h, k, s, f)
+        h = one_channel(rng, PROFILE_PRESETS["equal"])
+        inp = make_input(one_gaussian(rng, 1.0), one_gaussian(rng, 1.0), h, k, s, f)
         # per candidate x_B: phi1 and phi3 over every x_A / relay symbol
         assert scored_metrics(fast_decode, *inp) == 2 * m * m
         # per x_A: p1 over every x_B, p2 over every (x_B, relay symbol)

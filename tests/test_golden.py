@@ -190,7 +190,7 @@ def test_oracle_decisions_digest():
     assert h.hexdigest() == ORACLE_DIGEST
 
 
-BATTERY_DIGEST = "41d43a246f46de264b9717bbb6fe8ae8ab48bc41a74f567dfc01a5ae1f7bf081"
+BATTERY_DIGEST = "bcf0fa34543fcd958fef3885cb8b217294c1cbef6d14a15387c770525b23eee6"
 
 
 def test_battery_oracle_arguments_digest(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from marc_pnc import montecarlo
-from marc_pnc.channel import PROFILE_PRESETS, ChannelRealization, FadingProfile, phase1, phase2
+from marc_pnc.channel import PROFILE_PRESETS, ChannelRealization, FadingProfile
 from marc_pnc.destination import (
     HrOrthogonalityError,
     fast_decode,
@@ -27,9 +27,9 @@ from marc_pnc.montecarlo import (
 )
 from marc_pnc.netmap import LATIN_MAPS
 from marc_pnc.numerics import philox_stream
-from marc_pnc.relay import relay_ml_decode
 from marc_pnc.signalset import make_psk
 from marc_pnc.sweepio import curve_to_csv
+from oracles import phase1, phase2, scalar_relay_ml_decode
 from test_cfnc import destination_oracle
 
 EQUAL = PROFILE_PRESETS["equal"]
@@ -174,7 +174,7 @@ def check_batch_kernels_against_oracles(spec, snr_db, n):
         ia, ib = int(d.ia[i]), int(d.ib[i])
         z_r, z_d1, z_d2 = complex(d.z_r[i]), complex(d.z_d1[i]), complex(d.z_d2[i])
         xa, xb = points[ia], points[ib]
-        pair = relay_ml_decode(complex(y_r[i]), h.h_ar, h.h_br, k, points)
+        pair = scalar_relay_ml_decode(complex(y_r[i]), h.h_ar, h.h_br, k, points)
         assert pair == (int(ra[i]), int(rb[i]))
         want_r, want_d1 = phase1(k, h, xa, xb, z_r, z_d1)
         assert close(y_r[i], want_r) and close(y_d1[i], want_d1)
@@ -318,6 +318,25 @@ class TestEquivalenceBattery:
         assert [es for es, _ in calls] == pytest.approx([1.0, 10.0, 100.0])
         assert (report.frames, report.mismatches) == (180, 1)
         assert report.first_mismatch.startswith(f"snr=10.0 profile={middle} ")
+
+    @pytest.mark.parametrize("snr_db", [20.0, 30.0])
+    def test_forced_relay_errors_reach_the_oracle(self, snr_db, monkeypatch):
+        # Half of the frames forward a wrong symbol, and at 20 dB and above
+        # the relay itself rarely errs, so the oracle must take the
+        # relay-error branch on about half of the frames.  Over seeds 5 and
+        # 100-109 the share read 0.463-0.511 at 20 dB and 0.477-0.534 at
+        # 30 dB; without the forced errors, seed 5 read 0.016 and 0.002.
+        branches = []
+
+        def recording(*args):
+            result = novel_decode_exhaustive(*args)
+            branches.append(result[2])
+            return result
+
+        monkeypatch.setattr(montecarlo, "novel_decode_exhaustive", recording)
+        montecarlo.equivalence_battery(snr_points_db=(snr_db,), frames_per_cell=300, seed=5)
+        assert len(branches) == 900
+        assert 0.42 <= branches.count(False) / len(branches) <= 0.58
 
 
 def record_batches(monkeypatch, errors_at=()):

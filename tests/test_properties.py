@@ -42,8 +42,8 @@ from marc_pnc.destination import (
 from marc_pnc.montecarlo import SweepSpec, draw_batch, transmit
 from marc_pnc.netmap import LATIN_MAPS
 from marc_pnc.numerics import philox_stream
-from marc_pnc.relay import relay_ml_decode
 from marc_pnc.signalset import make_psk
+from oracles import scalar_relay_ml_decode
 from test_cfnc import destination_oracle
 
 FRAMES = 8
@@ -143,7 +143,7 @@ def test_relay_and_joint_decoders_equal_scalar_references(abcd, m, map_kind, snr
     fades = zip(d.h_ar.tolist(), d.h_br.tolist(), d.h_ad.tolist(), d.h_bd.tolist(), d.h_rd.tolist())
     for i, h in enumerate(ChannelRealization(*fade) for fade in fades):
         want_pair = (int(rx.relay_a[i]), int(rx.relay_b[i]))
-        assert relay_ml_decode(complex(rx.y_r[i]), h.h_ar, h.h_br, k, points) == want_pair, f"frame {i}"
+        assert scalar_relay_ml_decode(complex(rx.y_r[i]), h.h_ar, h.h_br, k, points) == want_pair, f"frame {i}"
         y1, y2 = complex(rx.y_d1[i]), complex(rx.y_d2[i])
         frame = (y1, y2, h.h_ad, h.h_bd, h.h_rd, k, points, table, points)
         scan = min((metric_m1(*frame, ia, ib), ia, ib) for ia in range(m) for ib in range(m))
