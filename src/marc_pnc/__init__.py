@@ -12,12 +12,7 @@ from .destination import (
     HrOrthogonalityError,
     fast_decode,
     joint_min_distance,
-    metric_m1,
-    metric_m2,
-    metric_m3,
-    metric_m4,
     novel_decode_exhaustive,
-    phi_metrics,
 )
 from .diversity import DiversityFit, InsufficientDataError, estimate_diversity
 from .montecarlo import (
@@ -36,7 +31,6 @@ from .scheme import (
     WeightMatrices,
     check_full_rank_condition,
     check_hr_orthogonal,
-    codeword_matrix,
     example1_constants,
     restricted_diff_matrix,
     weight_matrices,

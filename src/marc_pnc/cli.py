@@ -9,8 +9,14 @@ Subcommands:
 * ``reproduce``  -- run a named scenario (network-coded scheme vs the
                     combining baseline) and report the measured gain.
 
-Worker threads for sweeps come from --threads or the MARC_PNC_THREADS
-environment variable; results are identical for any thread count.
+``sweep`` has one flag per config key of ``sweepio.CONFIG_KEYS``
+(``snr_db`` is ``--snr-db``), which overrides that key of ``--config``;
+``sweepio.spec_from_config`` parses both.  Worker threads for sweeps come
+from --threads or the MARC_PNC_THREADS environment variable; results are
+identical for any thread count.
+
+Bad input, a parser error included, prints one ``marc-pnc <command>:
+<message>`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from pathlib import Path
 
 from .channel import PROFILE_PRESETS
 from .diversity import ASYMPTOTIC_BAND, InsufficientDataError, estimate_diversity
-from .montecarlo import DECODERS, MAP_KINDS, SepCurve, SweepSpec, equivalence_battery, run_sweep, thread_count
+from .montecarlo import SepCurve, SweepSpec, equivalence_battery, run_sweep, thread_count
 from .netmap import modulo_latin, xor_latin
 from .scheme import design_checks
 from .sweepio import CONFIG_KEYS, emit_csv, emit_plot_script, parse_config, spec_from_config
@@ -36,33 +42,18 @@ REFERENCE_GAIN_DB = {"equal": 3.3, "sr-strong": 3.0, "rd-strong": 6.5}
 
 def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="key=value config file; flags override it")
-    p.add_argument("--snr-db", help="comma-separated SNR grid in dB")
-    p.add_argument("--trials", type=int, help="trial cap per SNR point")
-    p.add_argument("--error-target", type=int, help="stop a point early after this many errors")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--m", type=int, help="constellation size (power of two)")
-    p.add_argument("--map", choices=MAP_KINDS, help="relay network-coding map")
-    p.add_argument("--decoder", choices=DECODERS, help="destination decoder")
-    p.add_argument("--profile", choices=sorted(PROFILE_PRESETS), help="fading preset")
-    for link in ("ar", "br", "ad", "bd", "rd"):
-        p.add_argument(f"--var-{link}-db", type=float, help=f"{link.upper()} link variance in dB")
-    for const in ("a", "b", "c", "d"):
-        for part in ("re", "im"):
-            p.add_argument(f"--{const}-{part}", type=float, help=f"{part} part of constant {const}")
-    p.add_argument("--theta-re", type=float, help="re part of baseline combining coefficient")
-    p.add_argument("--theta-im", type=float, help="im part of baseline combining coefficient")
+    # One flag per config key, kept as text: spec_from_config parses a flag
+    # and a config line alike.
+    for key, text in CONFIG_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), help=text)
     p.add_argument("--threads", type=int, default=None, help="worker threads (default: MARC_PNC_THREADS or 1)")
 
 
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    values: dict[str, str] = {}
-    if args.config is not None:
-        values.update(parse_config(args.config.read_text()))
+    values = {} if args.config is None else parse_config(args.config.read_text())
     # Every config key is also the dest of the flag that overrides it.
-    for key in CONFIG_KEYS:
-        v = getattr(args, key)
-        if v is not None:
-            values[key] = str(v)
+    flags = vars(args)
+    values.update((key, flags[key]) for key in CONFIG_KEYS if flags[key] is not None)
     return spec_from_config(values)
 
 
@@ -213,8 +204,16 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``prog: message`` line, like every
+    other bad input; its subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="marc-pnc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="marc-pnc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run a Monte Carlo SNR sweep")

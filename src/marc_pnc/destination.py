@@ -23,10 +23,12 @@ pair (ia, ib) the relay sends ``constellation[code[ia, ib]]``, one of the M
 source points under a Latin-square map or one of the M^2 combined points
 under cfnc.  Every decoder reports a frame's decision as (index_a, index_b,
 relay_correct): the decoded pair, and whether the trust-the-relay
-hypothesis won.  The scalar ``novel_decode_exhaustive`` and the metric
-functions are kept as the independent reference that the batch decoders
-are tested against; they take the same arguments for one frame, as Python
-numbers and sequences, so they read either relay.
+hypothesis won.  The scalar ``novel_decode_exhaustive`` is kept as the
+independent reference that the batch decoders are tested against; it takes
+the same arguments for one frame, as Python numbers and sequences, so it
+reads either relay.  The per-pair metrics m1-m4 and the fast algorithm's
+rotated-coordinate metrics, as scalar functions, are the tests' references
+in ``tests/oracles.py``.
 ``novel_decode_exhaustive_batch`` is the exhaustive rule as sweeps run it.
 
 log(es) is the natural logarithm: the metrics are Gaussian
@@ -74,66 +76,6 @@ def _require_unit_snr(k: SchemeConstants) -> None:
         raise ValueError(f"relay-error-aware decoding requires es >= 1 (got {k.es})")
 
 
-def _phase_terms(h_ad, h_bd, h_rd, k: SchemeConstants, pts, constellation):
-    """Per-symbol signal terms for both phases: subtracting one entry from
-    each list gives the noiseless hypothesis for a candidate triple.  The
-    relay's terms are one per point of its constellation."""
-    root_es = math.sqrt(k.es)
-    ga1 = h_ad * root_es * k.a
-    gb1 = h_bd * root_es * k.b
-    ga2 = h_ad * root_es * k.c
-    gb2 = h_bd * root_es * k.d
-    gr = h_rd * root_es
-    return (
-        [ga1 * p for p in pts],
-        [gb1 * p for p in pts],
-        [ga2 * p for p in pts],
-        [gb2 * p for p in pts],
-        [gr * p for p in constellation],
-    )
-
-
-def _sq(z: complex) -> float:
-    return z.real * z.real + z.imag * z.imag
-
-
-def _pair_residuals(y1, y2, h_ad, h_bd, h_rd, k, pts, constellation, ia, ib):
-    """Pair (ia, ib)'s phase-1 squared residual, its phase-2 residual before
-    the relay term, and every relay symbol's term."""
-    a1, b1, a2, b2, r2 = _phase_terms(h_ad, h_bd, h_rd, k, pts, constellation)
-    return _sq(y1 - a1[ia] - b1[ib]), y2 - a2[ia] - b2[ib], r2
-
-
-def metric_m1(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation, ia: int, ib: int) -> float:
-    """Two-phase squared residual of pair (ia, ib), assuming the relay sent
-    ``constellation[code[ia][ib]]``."""
-    p1, base2, r2 = _pair_residuals(y1, y2, h_ad, h_bd, h_rd, k, pts, constellation, ia, ib)
-    return p1 + _sq(base2 - r2[code[ia][ib]])
-
-
-def metric_m2(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation, ia: int, ib: int) -> float:
-    """Phase-1 residual plus the best phase-2 residual over relay symbols
-    other than ``code[ia][ib]`` -- the relay-sent-something-else hypothesis."""
-    p1, base2, r2 = _pair_residuals(y1, y2, h_ad, h_bd, h_rd, k, pts, constellation, ia, ib)
-    return p1 + min(_sq(base2 - t) for r, t in enumerate(r2) if r != code[ia][ib])
-
-
-def metric_m3(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation, ia: int, ib: int) -> float:
-    """As m2 but minimising over every relay symbol; equals min(m1, m2)."""
-    p1, base2, r2 = _pair_residuals(y1, y2, h_ad, h_bd, h_rd, k, pts, constellation, ia, ib)
-    return p1 + min(_sq(base2 - t) for t in r2)
-
-
-def metric_m4(y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, xa: complex, xb: complex, xr: complex) -> float:
-    """Two-phase residual with an explicit relay symbol, plus the log(es)
-    relay-error penalty.  xa, xb, xr may be arbitrary complex values."""
-    _require_unit_snr(k)
-    root_es = math.sqrt(k.es)
-    res1 = y1 - h_ad * root_es * k.a * xa - h_bd * root_es * k.b * xb
-    res2 = y2 - h_ad * root_es * k.c * xa - h_bd * root_es * k.d * xb - h_rd * root_es * xr
-    return _sq(res1) + _sq(res2) + math.log(k.es)
-
-
 def novel_decode_exhaustive(
     y1, y2, h_ad, h_bd, h_rd, k: SchemeConstants, pts, code, constellation
 ) -> tuple[int, int, bool]:
@@ -150,17 +92,19 @@ def novel_decode_exhaustive(
     shape is not M x M for the M points of ``pts`` raises ``ValueError``.
 
     This is the independent reference the batch decoders are tested
-    against, so it stays pure Python, one frame at a time.  Its floats are
-    those of ``metric_m1``/``metric_m2``, associated the same way: each
-    residual is (y - a_term) - b_term (- relay_term), with y - a_term
-    taken once per x_A, and the real and imaginary parts are subtracted
-    and squared separately, as complex subtraction and ``_sq`` do.  The
-    terms are ``_phase_terms``' products, built in one pass over the
-    source points and one over the relay's symbols.
+    against, so it stays pure Python, one frame at a time.  Its floats
+    associate as follows.  Each symbol's term is a product
+    ``(h * sqrt(es)) * constant * point`` in that order (the relay's is
+    ``(h_rd * sqrt(es)) * point``), built in one pass over the source
+    points and one over the relay's symbols.  Each residual is
+    (y - a_term) - b_term (- relay_term), with y - a_term taken once per
+    x_A; its real and imaginary parts are subtracted separately, as complex
+    subtraction does, and squared as re*re + im*im.  m1 is the phase-1
+    square plus the phase-2 square, and m2 the phase-1 square plus the
+    smallest phase-2 square over the other relay symbols.
     """
     _require_unit_snr(k)
     ln_es = math.log(k.es)
-    # _phase_terms' products associate as (h * root_es) * constant.
     root_es = math.sqrt(k.es)
     had = h_ad * root_es
     hbd = h_bd * root_es
@@ -221,30 +165,6 @@ def novel_decode_exhaustive(
             best_m = mj
             pick = (ja, ib, br)
     return pick
-
-
-def phi_metrics(
-    k: SchemeConstants,
-    r: np.ndarray,
-    ytilde: tuple[complex, complex],
-    xa: complex,
-    xb: complex,
-    xf: complex,
-    xr: complex,
-) -> tuple[float, float, float]:
-    """The three rotated-coordinate metrics used by the fast algorithm.
-
-    ``r`` is the 2x3 upper-triangular factor from ``qr_2x3`` of this
-    frame's equivalent channel and ``ytilde`` the received pair rotated by
-    the matching q*.  ``xf`` is the point the relay sends for (xa, xb),
-    which the second metric assumes, and ``xr`` the third metric's relay
-    symbol.
-    """
-    root_es = math.sqrt(k.es)
-    phi1 = _sq(ytilde[0] - r[0, 1] * xb * root_es - r[0, 0] * xa * root_es)
-    phi2 = _sq(ytilde[1] - r[1, 1] * xb * root_es - r[1, 2] * xf * root_es)
-    phi3 = _sq(ytilde[1] - r[1, 1] * xb * root_es - r[1, 2] * xr * root_es)
-    return phi1, phi2, phi3
 
 
 # ---------------------------------------------------------------------------

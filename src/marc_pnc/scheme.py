@@ -84,11 +84,6 @@ def weight_matrices(k: SchemeConstants) -> WeightMatrices:
     return WeightMatrices(wa=wa, wb=wb, wr=wr)
 
 
-def codeword_matrix(k: SchemeConstants, xa: complex, xb: complex, xr: complex) -> np.ndarray:
-    """3x2 matrix whose columns are the two phases' noiseless transmit mix."""
-    return np.array([[k.a * xa, k.c * xa], [k.b * xb, k.d * xb], [0, xr]], dtype=np.complex128)
-
-
 def restricted_diff_matrix(k: SchemeConstants, da: complex, db: complex) -> np.ndarray:
     """Top 2x2 block of a codeword difference matrix for differences (da, db)."""
     return np.array([[k.a * da, k.c * da], [k.b * db, k.d * db]], dtype=np.complex128)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .channel import PROFILE_PRESETS, FadingProfile
-from .montecarlo import PROBABILITY_EVENTS, SepCurve, SweepSpec
+from .montecarlo import DECODERS, MAP_KINDS, PROBABILITY_EVENTS, SepCurve, SweepSpec
 
 CSV_HEADER = ",".join(("snr_db", *PROBABILITY_EVENTS, "trials"))
 
@@ -154,12 +154,25 @@ def emit_plot_script(csv_paths, path, title: str = "symbol error probability") -
 # Plain-text key=value configuration
 
 
-CONFIG_KEYS = (
-    "snr_db", "trials", "seed", "m", "map", "decoder", "error_target", "profile",
-    "var_ar_db", "var_br_db", "var_ad_db", "var_bd_db", "var_rd_db",
-    "a_re", "a_im", "b_re", "b_im", "c_re", "c_im", "d_re", "d_im",
-    "theta_re", "theta_im",
-)
+_LINKS = ("ar", "br", "ad", "bd", "rd")
+
+#: The sweep parameters, key -> help text.  They are the config file's keys
+#: and, as ``--key-with-dashes``, the ``sweep`` flags; ``spec_from_config``
+#: is the one parser of their values.
+CONFIG_KEYS = {
+    "snr_db": "comma-separated SNR grid in dB",
+    "trials": "trial cap per SNR point",
+    "seed": "RNG seed",
+    "m": "constellation size (power of two)",
+    "map": f"relay network-coding map: {', '.join(MAP_KINDS)}",
+    "decoder": f"destination decoder: {', '.join(DECODERS)}",
+    "error_target": "stop a point early after this many errors",
+    "profile": f"fading preset: {', '.join(sorted(PROFILE_PRESETS))}",
+    **{f"var_{link}_db": f"{link.upper()} link variance in dB" for link in _LINKS},
+    **{f"{name}_{part}": f"{part} part of constant {name}" for name in "abcd" for part in ("re", "im")},
+    "theta_re": "re part of baseline combining coefficient",
+    "theta_im": "im part of baseline combining coefficient",
+}
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -200,7 +213,7 @@ def spec_from_config(values: dict[str, str]) -> SweepSpec:
     def get_float(key: str, default: float) -> float:
         return _parse(key, float, values[key]) if key in values else default
 
-    links = [link for link in ("ar", "br", "ad", "bd", "rd") if f"var_{link}_db" in values]
+    links = [link for link in _LINKS if f"var_{link}_db" in values]
     if "profile" in values:
         if links:
             given_vars = ", ".join(f"var_{link}_db" for link in links)

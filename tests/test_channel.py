@@ -7,7 +7,7 @@ from marc_pnc.channel import PROFILE_PRESETS, ChannelRealization, FadingProfile,
 from marc_pnc.numerics import complex_gaussian, philox_stream
 from marc_pnc.scheme import example1_constants
 from marc_pnc.signalset import make_psk
-from oracles import one_channel, phase1, phase2
+from oracles import codeword_matrix, one_channel, phase1, phase2
 
 INV = 1.0 / math.sqrt(2.0)
 
@@ -97,8 +97,6 @@ class TestPhases:
 class TestMatrixFormConsistency:
     def test_scalar_vs_matrix_formulation(self):
         # y_D row vector must equal sqrt(es) * h * C(xa, xb, xr) + z
-        from marc_pnc.scheme import codeword_matrix
-
         gen = np.random.default_rng(21)
         points = make_psk(4).tolist()
         for _ in range(200):

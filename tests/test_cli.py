@@ -29,6 +29,33 @@ OVERRIDES = {
 BAD_VALUES = {"error_target": "1e6", "snr_db": "0,,10", "m": "4.0", "theta_re": "x"}
 
 
+@pytest.mark.parametrize(
+    "argv,prog",
+    [
+        (["sweep", "--threads", "x"], "marc-pnc sweep"),
+        (["reproduce", "equal", "--threads", "x"], "marc-pnc reproduce"),
+        (["reproduce", "equal", "--seed", "x"], "marc-pnc reproduce"),
+        (["equiv", "--frames-per-cell", "1.5"], "marc-pnc equiv"),
+        (["verify", "--bogus"], "marc-pnc"),
+        ([], "marc-pnc"),
+    ],
+)
+def test_parser_errors_are_one_line_and_exit_2(argv, prog, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prog + ": ") and captured.err.count("\n") == 1
+    assert "usage:" not in captured.err and captured.out == ""
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: marc-pnc sweep")
+
+
 class TestVerify:
     def test_passes_and_prints_checks(self, capsys):
         assert main(["verify"]) == 0
@@ -138,6 +165,13 @@ class TestSweep:
             (["--config", "{values}/snr_db"], "snr_db: could not convert string to float: ''"),
             (["--config", "{values}/m"], "m: invalid literal for int()"),
             (["--config", "{values}/theta_re"], "theta_re: could not convert string to float: 'x'"),
+            (["--error-target", BAD_VALUES["error_target"]], "error_target: invalid literal for int()"),
+            (["--snr-db", BAD_VALUES["snr_db"]], "snr_db: could not convert string to float: ''"),
+            (["--m", BAD_VALUES["m"]], "m: invalid literal for int()"),
+            (["--theta-re", BAD_VALUES["theta_re"]], "theta_re: could not convert string to float: 'x'"),
+            (["--decoder", "nope"], "decoder must be one of"),
+            (["--map", "nope"], "map_kind must be one of"),
+            (["--profile", "nope"], "unknown profile preset 'nope'"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):

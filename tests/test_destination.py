@@ -11,19 +11,25 @@ from marc_pnc.destination import (
     HrOrthogonalityError,
     fast_decode,
     joint_min_distance,
-    metric_m1,
-    metric_m2,
-    metric_m3,
-    metric_m4,
     novel_decode_exhaustive,
     novel_decode_exhaustive_batch,
-    phi_metrics,
 )
 from marc_pnc.netmap import modulo_latin, xor_latin
 from marc_pnc.numerics import philox_stream, qr_2x3
 from marc_pnc.scheme import SchemeConstants, example1_constants
 from marc_pnc.signalset import make_psk
-from oracles import one_channel, one_gaussian, phase1, phase2, scalar_relay_ml_decode
+from oracles import (
+    metric_m1,
+    metric_m2,
+    metric_m3,
+    metric_m4,
+    one_channel,
+    one_gaussian,
+    phase1,
+    phase2,
+    phi_metrics,
+    scalar_relay_ml_decode,
+)
 
 INV = 1.0 / math.sqrt(2.0)
 S4 = make_psk(4).tolist()

@@ -12,7 +12,6 @@ from marc_pnc.destination import (
     HrOrthogonalityError,
     fast_decode,
     joint_min_distance,
-    metric_m1,
     novel_decode_exhaustive,
     novel_decode_exhaustive_batch,
 )
@@ -29,7 +28,7 @@ from marc_pnc.netmap import LATIN_MAPS
 from marc_pnc.numerics import philox_stream
 from marc_pnc.signalset import make_psk
 from marc_pnc.sweepio import curve_to_csv
-from oracles import phase1, phase2, scalar_relay_ml_decode
+from oracles import metric_m1, phase1, phase2, scalar_relay_ml_decode
 from test_cfnc import destination_oracle
 
 EQUAL = PROFILE_PRESETS["equal"]

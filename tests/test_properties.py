@@ -34,7 +34,6 @@ from marc_pnc.channel import PROFILE_PRESETS, ChannelRealization
 from marc_pnc.destination import (
     fast_decode,
     joint_min_distance,
-    metric_m1,
     novel_decode_exhaustive,
     novel_decode_exhaustive_batch,
     role_swap,
@@ -43,7 +42,7 @@ from marc_pnc.montecarlo import SweepSpec, draw_batch, transmit
 from marc_pnc.netmap import LATIN_MAPS
 from marc_pnc.numerics import philox_stream
 from marc_pnc.signalset import make_psk
-from oracles import scalar_relay_ml_decode
+from oracles import metric_m1, scalar_relay_ml_decode
 from test_cfnc import destination_oracle
 
 FRAMES = 8

@@ -8,12 +8,12 @@ from marc_pnc.scheme import (
     SchemeConstants,
     check_full_rank_condition,
     check_hr_orthogonal,
-    codeword_matrix,
     example1_constants,
     restricted_diff_matrix,
     weight_matrices,
 )
 from marc_pnc.signalset import difference_set, make_psk
+from oracles import codeword_matrix
 
 INV = 1.0 / math.sqrt(2.0)
 
